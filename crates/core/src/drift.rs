@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::model::AdamelModel;
+use crate::model::{AdamelModel, ScoredPairs};
 use adamel_metrics::ece;
 use adamel_obs::runlog;
 use adamel_schema::{Domain, Record, SourceId};
@@ -81,6 +81,9 @@ pub struct DriftBaseline {
     /// Frozen source-domain mean attention vector (Eq. 5–6), one entry per
     /// feature.
     pub mean_attention: Vec<f32>,
+    /// The model schema's attributes: both the baseline and the live
+    /// missing rates (C1) are taken over these.
+    pub schema_attributes: Vec<String>,
 }
 
 impl DriftBaseline {
@@ -97,6 +100,22 @@ impl DriftBaseline {
     /// source-domain record pool, wider than the sampled training pairs —
     /// while the frozen attention mean still comes from `train`.
     pub fn build_with_pool(model: &AdamelModel, train: &Domain, pool: &[Record]) -> Self {
+        let mean_attention = if train.is_empty() {
+            vec![0.0; model.extractor().num_features()]
+        } else {
+            model.attention(&train.pairs).mean_rows().into_vec()
+        };
+        Self::freeze(model, pool, mean_attention)
+    }
+
+    /// [`build_with_pool`](Self::build_with_pool) over pairs the model has
+    /// already scored: the frozen attention mean is taken from the
+    /// attention rows in `scored`, so freezing runs no forward pass.
+    pub fn build_from_scored(model: &AdamelModel, scored: &ScoredPairs, pool: &[Record]) -> Self {
+        Self::freeze(model, pool, scored.attention().mean_rows().into_vec())
+    }
+
+    fn freeze(model: &AdamelModel, pool: &[Record], mean_attention: Vec<f32>) -> Self {
         let mut attributes = BTreeSet::new();
         let mut vocabulary = BTreeSet::new();
         for r in pool {
@@ -110,14 +129,9 @@ impl DriftBaseline {
                 }
             }
         }
-        let schema_attrs = model.extractor().schema().attributes();
-        let missing_rate = missing_rate_over(pool.iter(), schema_attrs);
-        let mean_attention = if train.is_empty() {
-            vec![0.0; model.extractor().num_features()]
-        } else {
-            model.attention(&train.pairs).mean_rows().into_vec()
-        };
-        Self { attributes, missing_rate, vocabulary, mean_attention }
+        let schema_attributes = model.extractor().schema().attributes().to_vec();
+        let missing_rate = missing_rate_over(pool.iter(), &schema_attributes);
+        Self { attributes, missing_rate, vocabulary, mean_attention, schema_attributes }
     }
 }
 
@@ -262,25 +276,36 @@ impl DriftMonitor {
         Self { baseline, thresholds }
     }
 
-    /// Assesses every source occurring in `target`, in source-id order.
+    /// Assesses every source occurring in `target`, in source-id order:
+    /// scores the pairs with one forward pass, then
+    /// [`assess_scored`](Self::assess_scored).
+    #[must_use = "assess has no side effects; the drift report is its only output"]
+    pub fn assess(&self, model: &AdamelModel, target: &Domain) -> Vec<SourceDrift> {
+        self.assess_scored(&model.score(target.pairs.clone()))
+    }
+
+    /// Assesses every source occurring in already scored pairs, in
+    /// source-id order. Runs no forward pass: each source's model-level
+    /// signals gather its pairs' scores and attention rows from `scored`.
     ///
     /// Record-level signals (C1/C2/C3) use each source's distinct records
     /// (deduplicated by entity id); model-level signals use the pairs
     /// touching the source.
     #[must_use = "assess has no side effects; the drift report is its only output"]
-    pub fn assess(&self, model: &AdamelModel, target: &Domain) -> Vec<SourceDrift> {
-        let mut out = Vec::new();
-        for source in target.sources() {
-            out.push(self.assess_source(model, target, source));
-        }
-        out
+    pub fn assess_scored(&self, scored: &ScoredPairs) -> Vec<SourceDrift> {
+        let sources: BTreeSet<SourceId> =
+            scored.pairs().iter().flat_map(|p| [p.left.source, p.right.source]).collect();
+        sources.into_iter().map(|source| self.assess_source(scored, source)).collect()
     }
 
-    fn assess_source(&self, model: &AdamelModel, target: &Domain, source: SourceId) -> SourceDrift {
-        // Distinct records of this source among the pairs.
+    fn assess_source(&self, scored: &ScoredPairs, source: SourceId) -> SourceDrift {
+        // Distinct records of this source among the pairs, and the scores
+        // and labels of the pairs touching it.
         let mut by_entity: BTreeMap<u64, &Record> = BTreeMap::new();
         let mut pair_indices = Vec::new();
-        for (i, p) in target.pairs.iter().enumerate() {
+        let mut scores = Vec::new();
+        let mut labels = Vec::new();
+        for (i, (p, &score)) in scored.pairs().iter().zip(scored.scores()).enumerate() {
             for r in [&p.left, &p.right] {
                 if r.source == source {
                     by_entity.entry(r.entity_id).or_insert(r);
@@ -288,11 +313,13 @@ impl DriftMonitor {
             }
             if p.left.source == source || p.right.source == source {
                 pair_indices.push(i);
+                scores.push(score);
+                labels.push(p.ground_truth());
             }
         }
 
-        let schema_attrs = model.extractor().schema().attributes();
-        let missing_rate = missing_rate_over(by_entity.values().copied(), schema_attrs);
+        let missing_rate =
+            missing_rate_over(by_entity.values().copied(), &self.baseline.schema_attributes);
 
         let mut new_attributes = BTreeSet::new();
         let mut tokens = 0u64;
@@ -316,24 +343,21 @@ impl DriftMonitor {
         let oov_rate = if tokens == 0 { 0.0 } else { oov as f64 / tokens as f64 };
 
         // Model-level signals over the pairs touching this source.
-        let subset: Vec<_> = pair_indices.iter().map(|&i| target.pairs[i].clone()).collect();
         let (attention_kl, attention_js, attention_entropy, score_hist, ece_value) =
-            if subset.is_empty() {
+            if pair_indices.is_empty() {
                 (0.0, 0.0, 0.0, [0u64; SCORE_BINS], 0.0)
             } else {
-                let att = model.attention(&subset);
+                let att = scored.attention().select_rows(&pair_indices);
                 let mean = att.mean_rows();
                 let kl = kl_divergence(mean.as_slice(), &self.baseline.mean_attention);
                 let js = js_divergence(mean.as_slice(), &self.baseline.mean_attention);
                 let entropy = mean_row_entropy(&att);
-                let scores = model.predict(&subset);
                 let mut hist = [0u64; SCORE_BINS];
                 for &s in &scores {
                     let s = if s.is_finite() { f64::from(s).clamp(0.0, 1.0) } else { 0.0 };
                     let b = ((s * SCORE_BINS as f64) as usize).min(SCORE_BINS - 1);
                     hist[b] += 1;
                 }
-                let labels: Vec<bool> = subset.iter().map(|p| p.ground_truth()).collect();
                 (kl, js, entropy, hist, ece(&scores, &labels, SCORE_BINS))
             };
 

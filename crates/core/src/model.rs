@@ -48,15 +48,58 @@ pub(crate) struct ForwardNodes {
 
 /// The tape-free inference programs, compiled lazily from one probe forward.
 ///
-/// Two separately pruned plans: the attention plan stops at `f(x)` and never
-/// replays the classifier, so knowledge-transfer extraction (`attention_*`)
-/// pays only the head's FLOPs. Each plan gets its own warm-buffer pool
-/// because buffer *i* holds differently shaped intermediates per plan.
+/// The predict plan has two outputs, `[logits, attention]`: replay keeps
+/// every step buffer, so a scoring pass yields the attention rows for free.
+/// The attention plan is pruned at `f(x)` and never replays the classifier,
+/// so attention-only callers (training's per-epoch target mean, the Eq. 12
+/// support weights) pay only the head's FLOPs. Each plan gets its own
+/// warm-buffer pool because buffer *i* holds differently shaped
+/// intermediates per plan.
 struct CompiledForward {
     predict: CompiledPlan,
     attention: CompiledPlan,
     predict_pool: BufferPool,
     attention_pool: BufferPool,
+}
+
+/// Pairs scored by one forward pass: each pair's Eq. 7 match score and its
+/// Eq. 5–6 attention distribution `f(x)`.
+///
+/// Only [`AdamelModel::score`] builds one, so the three views are aligned
+/// by construction: `scores()[i]` and `attention().row(i)` belong to
+/// `pairs()[i]`.
+#[derive(Debug)]
+pub struct ScoredPairs {
+    pairs: Vec<EntityPair>,
+    scores: Vec<f32>,
+    attention: Matrix,
+}
+
+impl ScoredPairs {
+    /// The scored pairs, in the order they were handed to the model.
+    pub fn pairs(&self) -> &[EntityPair] {
+        &self.pairs
+    }
+
+    /// Match scores (`sigmoid(logit)`), one per pair.
+    pub fn scores(&self) -> &[f32] {
+        &self.scores
+    }
+
+    /// Attention distributions, `len() x F`, one row per pair.
+    pub fn attention(&self) -> &Matrix {
+        &self.attention
+    }
+
+    /// Number of scored pairs.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// True when no pair was scored.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
 }
 
 /// Probe batch size used to record the plan. Any value ≥ 2 works; 2 keeps
@@ -249,7 +292,9 @@ impl AdamelModel {
                 }
                 let mut g = Graph::new();
                 let nodes = self.forward(&mut g, Matrix::zeros(PLAN_PROBE_ROWS, cols));
-                let predict = CompiledPlan::compile(&g, nodes.input, &[nodes.logits]).ok()?;
+                let predict =
+                    CompiledPlan::compile(&g, nodes.input, &[nodes.logits, nodes.attention])
+                        .ok()?;
                 let attention = CompiledPlan::compile(&g, nodes.input, &[nodes.attention]).ok()?;
                 Some(CompiledForward {
                     predict,
@@ -276,101 +321,108 @@ impl AdamelModel {
         if pairs.is_empty() {
             return Vec::new();
         }
-        if self.compiled().is_some() {
-            return self.predict_encoded(&self.encode(pairs));
-        }
-        self.predict_owned(self.encode(pairs))
+        self.predict_encoded(&self.encode(pairs))
     }
 
-    /// Match scores for pre-encoded pairs. Replays the compiled plan when
-    /// the graph is specializable, else records a tape per chunk; both paths
-    /// chunk at the same boundaries and are bit-identical.
+    /// Match scores for pre-encoded pairs: the score half of
+    /// [`score`](Self::score)'s single forward pass.
     pub fn predict_encoded(&self, encoded: &Matrix) -> Vec<f32> {
-        match self.compiled() {
-            Some(cf) => self.predict_plan(cf, encoded),
-            None => self.predict_encoded_tape(encoded),
-        }
+        self.score_encoded(encoded).0
     }
 
     /// Tape-path scoring: records a fresh autograd graph per chunk. This is
     /// the reference implementation the plan path is bit-compared against
     /// (and the fallback for non-specializable graphs).
     pub fn predict_encoded_tape(&self, encoded: &Matrix) -> Vec<f32> {
-        if encoded.rows() <= PREDICT_CHUNK_ROWS {
-            // Single-graph path; the clone here matches the historical cost
-            // of the borrowed-forward copy and only hits small batches.
-            return self.predict_owned(encoded.clone());
-        }
-        adamel_obs::trace_span!("predict");
-        adamel_obs::trace_count!("predict.rows", encoded.rows() as u64);
-        adamel_obs::trace_count!(
-            "predict.chunks",
-            encoded.rows().div_ceil(PREDICT_CHUNK_ROWS) as u64
-        );
-        let mut scores = vec![0.0f32; encoded.rows()];
-        parallel::parallel_for_row_blocks(
-            &mut scores,
-            1,
-            PREDICT_CHUNK_ROWS,
-            self.per_row_flops(),
-            |start, block| {
-                let chunk = encoded.slice_rows(start, block.len());
-                let mut g = Graph::new();
-                let nodes = self.forward(&mut g, chunk);
-                for (o, &z) in block.iter_mut().zip(g.value(nodes.logits).as_slice()) {
-                    *o = 1.0 / (1.0 + (-z).exp());
-                }
-            },
-        );
-        scores
+        self.score_tape(encoded).0
     }
 
-    /// Single-allocation tape fast path when the caller can hand over the
-    /// batch (only reached when no plan is available).
-    fn predict_owned(&self, encoded: Matrix) -> Vec<f32> {
-        if encoded.rows() > PREDICT_CHUNK_ROWS {
-            return self.predict_encoded_tape(&encoded);
+    /// Scores `pairs` with **one** forward pass that yields both outputs:
+    /// the Eq. 7 match scores of [`predict`](Self::predict) and the Eq. 5–6
+    /// attention rows of [`attention`](Self::attention), bit-identical to
+    /// each. Consumers that need both (the live drift monitor) read them
+    /// from the returned [`ScoredPairs`] instead of running the network
+    /// again.
+    pub fn score(&self, pairs: Vec<EntityPair>) -> ScoredPairs {
+        let (scores, attention) = if pairs.is_empty() {
+            (Vec::new(), Matrix::zeros(0, self.extractor.num_features()))
+        } else {
+            self.score_encoded(&self.encode(&pairs))
+        };
+        ScoredPairs { pairs, scores, attention }
+    }
+
+    /// Scores and attention for pre-encoded pairs. Replays the two-output
+    /// compiled plan when the graph is specializable, else records a tape
+    /// per chunk; both paths chunk at the same boundaries and are
+    /// bit-identical.
+    fn score_encoded(&self, encoded: &Matrix) -> (Vec<f32>, Matrix) {
+        match self.compiled() {
+            Some(cf) => self.score_plan(cf, encoded),
+            None => self.score_tape(encoded),
         }
-        adamel_obs::trace_span!("predict");
-        adamel_obs::trace_count!("predict.rows", encoded.rows() as u64);
-        let mut g = Graph::new();
-        let nodes = self.forward(&mut g, encoded);
-        g.value(nodes.logits).as_slice().iter().map(|&z| 1.0 / (1.0 + (-z).exp())).collect()
     }
 
     /// Plan-path scoring: replays the compiled program per chunk into warm
-    /// buffers from the pool. Chunk boundaries are the same function of
-    /// [`PREDICT_CHUNK_ROWS`] as the tape path, each chunk's rows are staged
-    /// by the same row-copy `slice_rows` performs, and replay runs the same
-    /// kernels the tape ops delegate to — so scores are bit-identical to
-    /// [`predict_encoded_tape`](Self::predict_encoded_tape).
-    fn predict_plan(&self, cf: &CompiledForward, encoded: &Matrix) -> Vec<f32> {
+    /// buffers from the pool and reads both outputs from the one replay.
+    /// Chunk boundaries are the same function of [`PREDICT_CHUNK_ROWS`] as
+    /// the tape path, each chunk's rows are staged by the same row-copy
+    /// `slice_rows` performs, and replay runs the same kernels the tape ops
+    /// delegate to — so both outputs are bit-identical to
+    /// [`score_tape`](Self::score_tape).
+    fn score_plan(&self, cf: &CompiledForward, encoded: &Matrix) -> (Vec<f32>, Matrix) {
         adamel_obs::trace_span!("predict");
-        adamel_obs::trace_count!("predict.rows", encoded.rows() as u64);
-        adamel_obs::trace_count!(
-            "predict.chunks",
-            encoded.rows().div_ceil(PREDICT_CHUNK_ROWS) as u64
-        );
-        let mut scores = vec![0.0f32; encoded.rows()];
-        if encoded.rows() == 0 {
-            return scores;
-        }
-        parallel::parallel_for_row_blocks(
-            &mut scores,
-            1,
-            PREDICT_CHUNK_ROWS,
-            self.per_row_flops(),
-            |start, block| {
-                let mut bufs = cf.predict_pool.checkout();
-                cf.predict.execute_rows(&self.params, encoded, start, block.len(), &mut bufs);
-                let logits = cf.predict.output(0, &bufs);
-                for (o, &z) in block.iter_mut().zip(logits.as_slice()) {
-                    *o = 1.0 / (1.0 + (-z).exp());
-                }
-                cf.predict_pool.put_back(bufs);
+        self.forward_chunks(encoded, |start, rows| {
+            let mut bufs = cf.predict_pool.checkout();
+            cf.predict.execute_rows(&self.params, encoded, start, rows, &mut bufs);
+            let out = (sigmoid(cf.predict.output(0, &bufs)), cf.predict.output(1, &bufs).clone());
+            cf.predict_pool.put_back(bufs);
+            out
+        })
+    }
+
+    /// Tape-path scoring: records one fresh autograd graph per chunk and
+    /// reads both outputs from it. The reference implementation the plan
+    /// path is bit-compared against, and the fallback for graphs the plan
+    /// compiler rejects (the uniform-attention ablation).
+    fn score_tape(&self, encoded: &Matrix) -> (Vec<f32>, Matrix) {
+        adamel_obs::trace_span!("predict");
+        self.forward_chunks(encoded, |start, rows| {
+            let mut g = Graph::new();
+            let nodes = self.forward(&mut g, encoded.slice_rows(start, rows));
+            (sigmoid(g.value(nodes.logits)), g.value(nodes.attention).clone())
+        })
+    }
+
+    /// Runs `chunk(start, rows)` over every [`PREDICT_CHUNK_ROWS`] block of
+    /// `encoded` on the parallel runtime and stitches the per-block scores
+    /// and attention rows together in row order. Every forward op is
+    /// row-independent and block boundaries depend on the constant alone,
+    /// so the result is the same at any thread count.
+    fn forward_chunks<K>(&self, encoded: &Matrix, chunk: K) -> (Vec<f32>, Matrix)
+    where
+        K: Fn(usize, usize) -> (Vec<f32>, Matrix) + Sync,
+    {
+        let n = encoded.rows();
+        let blocks = n.div_ceil(PREDICT_CHUNK_ROWS);
+        adamel_obs::trace_count!("predict.rows", n as u64);
+        adamel_obs::trace_count!("predict.chunks", blocks as u64);
+        let parts = parallel::parallel_map_collect(
+            blocks,
+            PREDICT_CHUNK_ROWS * self.per_row_flops(),
+            |b| {
+                let start = b * PREDICT_CHUNK_ROWS;
+                chunk(start, PREDICT_CHUNK_ROWS.min(n - start))
             },
         );
-        scores
+        let f = self.extractor.num_features();
+        let mut scores = Vec::with_capacity(n);
+        let mut attention = Vec::with_capacity(n * f);
+        for (s, a) in parts {
+            scores.extend(s);
+            attention.extend_from_slice(a.as_slice());
+        }
+        (scores, Matrix::from_vec(n, f, attention))
     }
 
     /// Per-pair attention distributions `f(x)` (`n x F`, rows sum to 1) —
@@ -391,7 +443,7 @@ impl AdamelModel {
     }
 
     /// Plan-path attention extraction; see
-    /// [`predict_plan`](Self::predict_plan) for the bit-identity argument.
+    /// [`score_plan`](Self::score_plan) for the bit-identity argument.
     fn attention_plan(&self, cf: &CompiledForward, encoded: &Matrix) -> Matrix {
         adamel_obs::trace_span!("attention");
         adamel_obs::trace_count!("attention.rows", encoded.rows() as u64);
@@ -419,28 +471,7 @@ impl AdamelModel {
     /// Tape-path attention extraction: records a fresh graph per chunk. The
     /// reference implementation the plan path is bit-compared against.
     pub fn attention_encoded_tape(&self, encoded: &Matrix) -> Matrix {
-        adamel_obs::trace_span!("attention");
-        adamel_obs::trace_count!("attention.rows", encoded.rows() as u64);
-        let f = self.extractor.num_features();
-        if encoded.rows() <= PREDICT_CHUNK_ROWS || f == 0 {
-            let mut g = Graph::new();
-            let nodes = self.forward(&mut g, encoded.clone());
-            return g.value(nodes.attention).clone();
-        }
-        let mut out = Matrix::zeros(encoded.rows(), f);
-        parallel::parallel_for_row_blocks(
-            out.as_mut_slice(),
-            f,
-            PREDICT_CHUNK_ROWS,
-            self.per_row_flops(),
-            |start, block| {
-                let chunk = encoded.slice_rows(start, block.len() / f);
-                let mut g = Graph::new();
-                let nodes = self.forward(&mut g, chunk);
-                block.copy_from_slice(g.value(nodes.attention).as_slice());
-            },
-        );
-        out
+        self.score_tape(encoded).1
     }
 
     /// Deep copies of all parameter tensors, in registration order (for
@@ -489,6 +520,11 @@ impl AdamelModel {
         out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
+}
+
+/// Match probabilities from an `n x 1` logit column.
+fn sigmoid(logits: &Matrix) -> Vec<f32> {
+    logits.as_slice().iter().map(|&z| 1.0 / (1.0 + (-z).exp())).collect()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! trained [`AdamelModel`] with token blocking so linking two collections is
 //! one call.
 
-use crate::model::AdamelModel;
+use crate::model::{AdamelModel, ScoredPairs};
 use adamel_schema::blocking::BlockingIndex;
 use adamel_schema::{EntityPair, Record};
 use adamel_tensor::parallel;
@@ -95,8 +95,8 @@ impl Linker {
     /// Scores a pre-blocked candidate set: `candidates[li]` lists the
     /// `right` indices paired with `left[li]`. This is the second half of
     /// [`link`](Self::link) — pair construction in `(li, ri)` order, one
-    /// batched `predict`, thresholding, the stable descending sort, and the
-    /// optional one-to-one reduction — exposed so callers that maintain
+    /// batched forward pass, thresholding, the stable descending sort, and
+    /// the optional one-to-one reduction — exposed so callers that maintain
     /// their own incremental blocking index (`adamel-serve`'s `LiveIndex`)
     /// produce **bit-identical** results to the offline pipeline on the
     /// same candidates.
@@ -110,6 +110,19 @@ impl Linker {
         right: &[Record],
         candidates: &[Vec<usize>],
     ) -> Vec<MatchResult> {
+        self.score_batch(left, right, candidates).0
+    }
+
+    /// [`score_candidates`](Self::score_candidates), also returning every
+    /// candidate pair with the score and attention row the forward pass
+    /// computed for it — so a consumer such as the live drift monitor
+    /// reuses them instead of running the network a second time.
+    pub fn score_batch(
+        &self,
+        left: &[Record],
+        right: &[Record],
+        candidates: &[Vec<usize>],
+    ) -> (Vec<MatchResult>, ScoredPairs) {
         let mut pairs = Vec::new();
         let mut pair_ids = Vec::new();
         for (li, (lrec, cands)) in left.iter().zip(candidates.iter()).enumerate() {
@@ -121,26 +134,28 @@ impl Linker {
             }
         }
         adamel_obs::trace_count!("link.candidates", pairs.len() as u64);
-        if pairs.is_empty() {
+        let link_event = |candidates: usize, matches: usize| {
             adamel_obs::runlog::event("link")
                 .int("left_records", left.len() as u64)
                 .int("right_records", right.len() as u64)
-                .int("candidates", 0)
-                .int("scored", 0)
-                .int("matches", 0)
+                .int("candidates", candidates as u64)
+                .int("scored", candidates as u64)
+                .int("matches", matches as u64)
                 .num("threshold", f64::from(self.cfg.threshold))
                 .emit();
-            return Vec::new();
+        };
+        if pairs.is_empty() {
+            link_event(0, 0);
+            return (Vec::new(), self.model.score(pairs));
         }
         let score_span = adamel_obs::span("score");
-        let scores = self.model.predict(&pairs);
+        let scored = self.model.score(pairs);
         drop(score_span);
-        adamel_obs::trace_count!("link.pairs_scored", scores.len() as u64);
-        let scored = scores.len();
+        adamel_obs::trace_count!("link.pairs_scored", scored.len() as u64);
 
         let mut results: Vec<MatchResult> = pair_ids
             .into_iter()
-            .zip(scores)
+            .zip(scored.scores().iter().copied())
             .filter(|(_, s)| *s >= self.cfg.threshold)
             .map(|((left, right), score)| MatchResult { left, right, score })
             .collect();
@@ -155,15 +170,8 @@ impl Linker {
             results.retain(|m| used_left.insert(m.left) && used_right.insert(m.right));
         }
         adamel_obs::trace_count!("link.matches", results.len() as u64);
-        adamel_obs::runlog::event("link")
-            .int("left_records", left.len() as u64)
-            .int("right_records", right.len() as u64)
-            .int("candidates", pairs.len() as u64)
-            .int("scored", scored as u64)
-            .int("matches", results.len() as u64)
-            .num("threshold", f64::from(self.cfg.threshold))
-            .emit();
-        results
+        link_event(scored.len(), results.len());
+        (results, scored)
     }
 }
 
@@ -239,6 +247,22 @@ mod tests {
             .collect();
         let via_candidates = linker.score_candidates(&left, &right, &per_left);
         let via_link = linker.link(&left, &right);
+        // score_batch's scored pairs carry every candidate, and each match's
+        // score is the one the scored pairs hold for that pair.
+        let (via_batch, scored) = linker.score_batch(&left, &right, &per_left);
+        assert_eq!(scored.len(), per_left.iter().map(Vec::len).sum::<usize>());
+        for m in &via_batch {
+            let i = scored
+                .pairs()
+                .iter()
+                .position(|p| {
+                    p.left.entity_id == left[m.left].entity_id
+                        && p.right.entity_id == right[m.right].entity_id
+                })
+                .expect("every match is a scored pair");
+            assert_eq!(scored.scores()[i].to_bits(), m.score.to_bits());
+        }
+        assert_eq!(via_batch.len(), via_link.len());
         assert_eq!(via_candidates.len(), via_link.len());
         for (a, b) in via_candidates.iter().zip(via_link.iter()) {
             assert_eq!((a.left, a.right), (b.left, b.right));

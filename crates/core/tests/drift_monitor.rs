@@ -9,12 +9,16 @@
 //! * Seen pairs degraded with extra missingness: C1 fires alone — dropping
 //!   values cannot introduce new attributes or new tokens.
 
-use adamel::drift::{DriftBaseline, DriftMonitor, DriftSignal};
+use adamel::drift::{
+    js_divergence, kl_divergence, mean_row_entropy, DriftBaseline, DriftMonitor, DriftSignal,
+    SourceDrift, SCORE_BINS,
+};
 use adamel::{fit, AdamelConfig, AdamelModel, Variant};
 use adamel_data::{
     degrade_pairs, make_mel_split, MonitorConfig, MonitorWorld, Scenario, SplitCounts,
 };
-use adamel_schema::Domain;
+use adamel_metrics::ece;
+use adamel_schema::{Domain, EntityPair, SourceId};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -61,6 +65,62 @@ fn build_fixture() -> Fixture {
 
 const C_SIGNALS: [DriftSignal; 3] =
     [DriftSignal::MissingRate, DriftSignal::NewAttributes, DriftSignal::OovRate];
+
+/// Asserts the model-level fields of `d` equal, bit for bit, a recompute
+/// that re-encodes and re-scores the source's pairs on their own (one
+/// `attention` and one `predict` call per source).
+fn assert_matches_per_source_recompute(
+    model: &AdamelModel,
+    baseline: &DriftBaseline,
+    target: &Domain,
+    d: &SourceDrift,
+) {
+    let touches = |p: &EntityPair| p.left.source == d.source || p.right.source == d.source;
+    let subset: Vec<EntityPair> = target.pairs.iter().filter(|p| touches(p)).cloned().collect();
+    let att = model.attention(&subset);
+    let mean = att.mean_rows();
+    let scores = model.predict(&subset);
+    let labels: Vec<bool> = subset.iter().map(EntityPair::ground_truth).collect();
+    let mut hist = [0u64; SCORE_BINS];
+    for &s in &scores {
+        let s = if s.is_finite() { f64::from(s).clamp(0.0, 1.0) } else { 0.0 };
+        hist[((s * SCORE_BINS as f64) as usize).min(SCORE_BINS - 1)] += 1;
+    }
+    let expected = [
+        ("attention_kl", kl_divergence(mean.as_slice(), &baseline.mean_attention), d.attention_kl),
+        ("attention_js", js_divergence(mean.as_slice(), &baseline.mean_attention), d.attention_js),
+        ("attention_entropy", mean_row_entropy(&att), d.attention_entropy),
+        ("ece", ece(&scores, &labels, SCORE_BINS), d.ece),
+    ];
+    for (field, want, got) in expected {
+        assert_eq!(got.to_bits(), want.to_bits(), "source {:?} {field}: {got} vs {want}", d.source);
+    }
+    assert_eq!(d.score_hist, hist, "source {:?} score_hist", d.source);
+    assert_eq!(d.pairs, subset.len(), "source {:?} pairs", d.source);
+}
+
+#[test]
+fn assess_is_bit_identical_to_a_per_source_recompute() {
+    let fx = fixture();
+    // The uniform-attention ablation cannot be compiled into a plan, so it
+    // covers the tape fallback of the single scoring pass.
+    let uniform_cfg = AdamelConfig::tiny().with_uniform_attention(true);
+    let uniform = AdamelModel::new(uniform_cfg, fx.model.extractor().schema().clone());
+    let uniform_monitor = DriftMonitor::new(DriftBaseline::build(&uniform, &fx.train));
+    let mut checked = 0;
+    for (model, monitor) in [(&fx.model, &fx.monitor), (&uniform, &uniform_monitor)] {
+        for target in [&fx.train, &fx.test] {
+            let drifts = monitor.assess(model, target);
+            let sources: Vec<SourceId> = drifts.iter().map(|d| d.source).collect();
+            assert_eq!(sources, target.sources().into_iter().collect::<Vec<_>>());
+            for d in &drifts {
+                assert_matches_per_source_recompute(model, &monitor.baseline, target, d);
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 8, "only {checked} sources checked");
+}
 
 #[test]
 fn control_seen_pairs_trip_no_c_signal() {

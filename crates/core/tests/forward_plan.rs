@@ -145,3 +145,46 @@ fn plan_stays_valid_after_training() {
     m.restore_params(&snapshot).expect("round-trip restore");
     assert_plan_matches_tape(&m, 40, "post-restore");
 }
+
+/// Asserts the fused single-pass outputs of [`AdamelModel::score`] equal
+/// every single-output path bit for bit, at 1, 2 and 4 threads.
+fn assert_fused_matches_single_outputs(m: &AdamelModel, n: u64, label: &str) {
+    let pairs = pairs_n(n);
+    let encoded = m.encode(&pairs);
+    let scores = [m.predict_encoded(&encoded), m.predict_encoded_tape(&encoded)];
+    let attention = [m.attention_encoded(&encoded), m.attention_encoded_tape(&encoded)];
+    for t in [1, 2, 4] {
+        let scored = parallel::with_threads(t, || m.score(pairs.clone()));
+        assert_eq!(scored.len(), pairs.len(), "{label}: pair count at {t} threads");
+        for reference in &scores {
+            assert_eq!(bits(scored.scores()), bits(reference), "{label}: scores at {t} threads");
+        }
+        for reference in &attention {
+            assert_eq!(scored.attention().shape(), reference.shape(), "{label}: attention shape");
+            assert_eq!(
+                bits(scored.attention().as_slice()),
+                bits(reference.as_slice()),
+                "{label}: attention at {t} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn fused_score_matches_predict_and_attention_across_chunks_and_threads() {
+    // 1100 rows span three 512-row chunks, the last one ragged.
+    let m = AdamelModel::new(AdamelConfig::tiny(), schema());
+    assert_fused_matches_single_outputs(&m, 1100, "plan");
+    // The uniform-attention ablation takes the tape fallback, which must
+    // read both outputs from one graph per chunk.
+    let cfg = AdamelConfig::tiny().with_uniform_attention(true);
+    assert_fused_matches_single_outputs(&AdamelModel::new(cfg, schema()), 1100, "tape");
+}
+
+#[test]
+fn fused_score_of_no_pairs_is_empty() {
+    let m = AdamelModel::new(AdamelConfig::tiny(), schema());
+    let scored = m.score(Vec::new());
+    assert!(scored.is_empty() && scored.scores().is_empty());
+    assert_eq!(scored.attention().shape(), (0, m.extractor().num_features()));
+}

@@ -125,10 +125,7 @@ pub fn enabled() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Forced state is process-global; tests that touch it serialize here.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::TEST_LOCK as LOCK;
 
     #[test]
     fn levels_are_ordered() {

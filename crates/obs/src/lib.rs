@@ -73,6 +73,13 @@ pub mod mem;
 pub mod report;
 pub mod runlog;
 
+/// The forced level and the registry are process-global, and unit tests
+/// run on parallel threads: every test module that touches either
+/// serializes on this one lock (a lock per module let one module's
+/// `set_forced(Off)` land inside another module's test).
+#[cfg(test)]
+static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 pub use hist::Histogram;
 pub use level::{enabled, level, set_forced, TraceLevel};
 pub use registry::{counter_add, counter_value, record_value, value_stat, ValueStat};

@@ -274,10 +274,7 @@ impl Drop for MemScope {
 mod tests {
     use super::*;
     use crate::level::{set_forced, TraceLevel};
-    use std::sync::Mutex;
-
-    /// Registry and forced level are process-global; serialize tests.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::TEST_LOCK as LOCK;
 
     fn reset_registry() {
         let mut reg = registry::lock();

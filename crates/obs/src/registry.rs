@@ -202,10 +202,7 @@ pub fn value_stat(name: &str) -> Option<ValueStat> {
 mod tests {
     use super::*;
     use crate::level::{set_forced, TraceLevel};
-    use std::sync::Mutex as StdMutex;
-
-    /// Registry and forced level are process-global; serialize tests.
-    static LOCK: StdMutex<()> = StdMutex::new(());
+    use crate::TEST_LOCK as LOCK;
 
     fn reset_registry() {
         let mut reg = lock();

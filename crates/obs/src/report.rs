@@ -291,10 +291,8 @@ impl Drop for ExitReport {
 mod tests {
     use super::*;
     use crate::level::{set_forced, TraceLevel};
+    use crate::TEST_LOCK as LOCK;
     use crate::{counter_add, record_value, span};
-    use std::sync::Mutex;
-
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn report_contains_schema_and_all_sections() {

@@ -172,10 +172,7 @@ mod tests {
     use super::*;
     use crate::level::set_forced;
     use crate::registry;
-    use std::sync::Mutex;
-
-    /// Registry, path TLS, and forced level are shared; serialize tests.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::TEST_LOCK as LOCK;
 
     fn reset_registry() {
         let mut reg = registry::lock();

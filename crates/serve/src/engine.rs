@@ -26,15 +26,18 @@
 //!
 //! When configured, every `assess_every`-th link batch is re-examined by
 //! the [`DriftMonitor`]: per-source C1/C2/C3, attention-shift, and
-//! calibration signals become `drift`/`warn` run-ledger events. A sliding
+//! calibration signals become `drift`/`warn` run-ledger events. The monitor
+//! reads the scores and attention rows the batch's own forward pass
+//! produced ([`Linker::score_batch`](adamel::Linker::score_batch)), so a
+//! served pair costs one forward pass with drift on or off. A sliding
 //! window over query sources raises `readapt_recommended` once traffic
 //! from sources unseen in training dominates — the operational signal that
 //! an AdaMEL-zero re-adaptation pass is warranted.
 
 use crate::api::{HealthResponse, LinkMatch};
-use adamel::{AdamelModel, DriftBaseline, DriftMonitor, DriftThresholds, Linker};
+use adamel::{AdamelModel, DriftBaseline, DriftMonitor, DriftThresholds, Linker, ScoredPairs};
 use adamel_obs::json;
-use adamel_schema::{Domain, EntityPair, LiveIndex, Record, RecordKey, SourceId};
+use adamel_schema::{LiveIndex, Record, RecordKey, SourceId};
 use adamel_tensor::parallel;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -293,12 +296,12 @@ impl Engine {
         drop(corpus);
 
         let candidates: usize = positions.iter().map(Vec::len).sum();
-        let results = if self.compute_threads > 0 {
+        let (results, scored) = if self.compute_threads > 0 {
             parallel::with_threads(self.compute_threads, || {
-                linker.score_candidates(queries, &snapshot.records, &positions)
+                linker.score_batch(queries, &snapshot.records, &positions)
             })
         } else {
-            linker.score_candidates(queries, &snapshot.records, &positions)
+            linker.score_batch(queries, &snapshot.records, &positions)
         };
 
         let matches: Vec<LinkMatch> = results
@@ -313,36 +316,22 @@ impl Engine {
         self.counters.pairs_scored.fetch_add(candidates as u64, Ordering::Relaxed);
         self.counters.matches.fetch_add(matches.len() as u64, Ordering::Relaxed);
 
-        self.observe_drift(queries, &positions, &snapshot, &linker);
+        self.observe_drift(queries, &scored, &linker);
 
         LinkOutcome { matches, candidates, corpus_records: snapshot.records.len() }
     }
 
-    /// Drift bookkeeping for one served batch. Window updates happen under
-    /// the drift lock; the assessment itself (which dispatches onto the
-    /// parallel runtime) runs on `Arc` clones **outside** it, per the
-    /// workspace's lock-across-dispatch discipline.
-    fn observe_drift(
-        &self,
-        queries: &[Record],
-        positions: &[Vec<usize>],
-        snapshot: &Snapshot,
-        linker: &Linker,
-    ) {
+    /// Drift bookkeeping for one served batch. `scored` is the batch's
+    /// candidate pairs with the scores and attention rows the link already
+    /// computed, so neither the baseline freeze nor the assessment runs the
+    /// network again. Window updates happen under the drift lock; the
+    /// assessment runs on `Arc` clones **outside** it, per the workspace's
+    /// lock-across-dispatch discipline.
+    fn observe_drift(&self, queries: &[Record], scored: &ScoredPairs, linker: &Linker) {
         let Some(drift) = &self.drift else { return };
         if queries.is_empty() {
             return;
         }
-        let pairs: Vec<EntityPair> = queries
-            .iter()
-            .zip(positions.iter())
-            .flat_map(|(q, cands)| {
-                cands.iter().filter_map(|&ri| {
-                    Some(EntityPair::unlabeled(q.clone(), snapshot.records.get(ri)?.clone()))
-                })
-            })
-            .collect();
-
         let mut st = lock(drift);
         st.batches += 1;
         for q in queries {
@@ -363,23 +352,21 @@ impl Engine {
         if emit_readapt {
             st.readapt_emitted = true;
         }
-        let needs_baseline = st.monitor.is_none() && !pairs.is_empty();
+        let needs_baseline = st.monitor.is_none() && !scored.is_empty();
         let thresholds = st.thresholds.clone();
         let assess_now = st.batches % st.assess_every == 0;
         let mut monitor = if assess_now { st.monitor.clone() } else { None };
         let threshold = st.dominance_threshold;
         drop(st);
 
+        // One fixed-name stage span, so a traced `/metrics` shows drift
+        // apart from `score`.
+        let _drift = (needs_baseline || monitor.is_some()).then(|| adamel_obs::span("drift"));
         if needs_baseline {
             // First-batch freeze (see DriftConfig::baseline for the bias
-            // this carries). The build dispatches onto the parallel
-            // runtime, so it must happen with no guard held; if two
-            // batches race here, the first install wins.
-            let baseline = DriftBaseline::build_with_pool(
-                linker.model(),
-                &Domain::new(pairs.clone()),
-                queries,
-            );
+            // this carries), built with no guard held; if two batches race
+            // here, the first install wins.
+            let baseline = DriftBaseline::build_from_scored(linker.model(), scored, queries);
             let built = Arc::new(DriftMonitor::with_thresholds(baseline, thresholds));
             let mut st = lock(drift);
             if st.monitor.is_none() {
@@ -401,8 +388,8 @@ impl Engine {
                 .emit();
         }
         if let Some(monitor) = monitor {
-            if !pairs.is_empty() {
-                let assessments = monitor.assess(linker.model(), &Domain::new(pairs));
+            if !scored.is_empty() {
+                let assessments = monitor.assess_scored(scored);
                 let warnings: usize = assessments.iter().map(|a| a.warnings.len()).sum();
                 for a in &assessments {
                     a.emit_runlog();
@@ -528,7 +515,7 @@ mod tests {
     use adamel::config::{AdamelConfig, Variant};
     use adamel::train::fit;
     use adamel::LinkerConfig;
-    use adamel_schema::Schema;
+    use adamel_schema::{Domain, EntityPair, Schema};
 
     fn rec(source: u32, id: u64, name: &str) -> Record {
         let mut r = Record::new(SourceId(source), id);
