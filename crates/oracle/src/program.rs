@@ -545,7 +545,9 @@ pub struct GenOptions {
     /// When true, parameter leaves are drawn from a blocked-kernel palette —
     /// dims crossing the `MR`/`NR` register-tile edges plus 16/17, so matmuls
     /// land on both sides of the blocked-dispatch threshold (a 16³ product is
-    /// the smallest that takes the blocked path) — instead of `1..=4`.
+    /// the smallest that takes the blocked path) — instead of `1..=4`. Every
+    /// such program also carries one narrow product (`1 ≤ m < NR` columns,
+    /// at least `NR` rows), the shape of the row-interleaved narrow kernel.
     pub blocked: bool,
 }
 
@@ -600,6 +602,27 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
         let cols = dim(&mut rng);
         let data: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
         push(&mut insts, &mut values, Inst::Param { rows, cols, data });
+    }
+
+    // The narrow product: a tall leaf (drawn now if the palette gave none)
+    // times a head narrower than the register tile, like the attention
+    // energies and the classifier's output layer.
+    if opts.blocked {
+        use adamel_tensor::gemm::NR;
+        let mut tall: Vec<usize> = (0..insts.len()).filter(|&i| values[i].rows() >= NR).collect();
+        if tall.is_empty() {
+            let rows = [NR, NR + 1, 16, 17][rng.gen_range(0..4usize)];
+            let cols = dim(&mut rng);
+            let data: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            push(&mut insts, &mut values, Inst::Param { rows, cols, data });
+            tall.push(insts.len() - 1);
+        }
+        let a = tall[rng.gen_range(0..tall.len())];
+        let (rows, cols) = (values[a].cols(), rng.gen_range(1..NR));
+        let data: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        push(&mut insts, &mut values, Inst::Param { rows, cols, data });
+        let b = insts.len() - 1;
+        push(&mut insts, &mut values, Inst::MatMul { a, b });
     }
 
     let mut attempts = 0;
@@ -980,6 +1003,34 @@ mod tests {
             }
         }
         assert!(hit, "no generated matmul dispatches to the blocked kernels");
+    }
+
+    #[test]
+    fn blocked_profile_reaches_narrow_dispatch() {
+        use adamel_tensor::gemm::{use_blocked, NR};
+        // Every blocked-profile program must carry a product the narrow
+        // kernel takes (`m < NR`, never blocked) over at least NR rows, so
+        // the fuzz CI steps reach its eight-row interleave and ragged tail.
+        for seed in 0..24 {
+            let p = gen_program_with(seed, &GenOptions { size: 10, blocked: true });
+            let mut shapes: Vec<(usize, usize)> = Vec::new();
+            let mut hit = false;
+            for inst in &p.insts {
+                let parents: Vec<RefMatrix> = inst
+                    .parents()
+                    .iter()
+                    .map(|&q| RefMatrix::zeros(shapes[q].0, shapes[q].1))
+                    .collect();
+                if let Inst::MatMul { a, b } = inst {
+                    let (n, k, m) = (shapes[*a].0, shapes[*a].1, shapes[*b].1);
+                    if (1..NR).contains(&m) && n >= NR && !use_blocked(n, k, m) {
+                        hit = true;
+                    }
+                }
+                shapes.push(oracle_apply(inst, &parents).shape());
+            }
+            assert!(hit, "seed {seed}: no generated matmul dispatches to the narrow kernel");
+        }
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! short-fat — crossed with 1/2/4/8 worker threads, plus bit-for-bit
 //! thread-count invariance for every variant at every shape.
 //!
+//! The same battery pins the two other ways into the kernels: a right
+//! operand packed once ([`PackedB`], what compiled-plan replays use for
+//! weights) must give the per-call-packed bits, and the row-interleaved
+//! narrow kernel (`m < NR`) must give the naive loop's bits, signed zeros
+//! and subnormals in `A` included.
+//!
 //! Budgets come from [`op_ulps`]: `2k + 4 + 2·⌈k/KC⌉` ULPs for the matmul
 //! family (the per-KC-panel term deliberately licenses panel-split
 //! reassociation; today's kernels are stricter — bit-identical to the
@@ -11,7 +17,7 @@
 //! fallback covering cancellation.
 
 use adamel_oracle::{op_ulps, Budget, RefMatrix, EPS32};
-use adamel_tensor::gemm::{use_blocked, KC, MC, MR, NR};
+use adamel_tensor::gemm::{use_blocked, PackedB, KC, MC, MR, NR};
 use adamel_tensor::parallel::with_threads;
 use adamel_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -72,6 +78,25 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The historical naive `ikj` kernel with its exact-zero skip: the bit
+/// pattern every dispatch path of `matmul` must reproduce.
+fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+    let (n, k, m) = (a.rows(), a.cols(), b.cols());
+    let mut out = vec![0.0f32; n * m];
+    for i in 0..n {
+        for p in 0..k {
+            let av = a.get(i, p);
+            if av == 0.0 {
+                continue;
+            }
+            for j in 0..m {
+                out[i * m + j] += av * b.get(p, j);
+            }
+        }
+    }
+    Matrix::from_vec(n, m, out)
+}
+
 /// Runs all three variants at one shape under every thread count: each must
 /// match the oracle within budget, and each must be bit-for-bit identical
 /// across thread counts (block boundaries are a function of the tile sizes
@@ -90,14 +115,21 @@ fn check_shape(n: usize, k: usize, m: usize) {
 
     let at = a.transpose();
     let bt = b.transpose();
+    let packed = PackedB::new(&b);
+    let reference = bits(&naive(&a, &b));
     let mut baselines: Option<[Vec<u32>; 3]> = None;
     for threads in [1usize, 2, 4, 8] {
-        let (p, p_tn, p_nt) =
-            with_threads(threads, || (a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt)));
+        let mut p_pre = Matrix::default();
+        let (p, p_tn, p_nt) = with_threads(threads, || {
+            a.matmul_prepacked_into(&packed, &mut p_pre);
+            (a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt))
+        });
         let what = |v: &str| format!("{v} {n}x{k}x{m} @{threads}t");
         assert_close(&what("matmul"), &p, &oracle, ulps, &abs);
         assert_close(&what("matmul_tn"), &p_tn, &oracle, ulps, &abs);
         assert_close(&what("matmul_nt"), &p_nt, &oracle, ulps, &abs);
+        assert_eq!(bits(&p), reference, "{}: not the naive bits", what("matmul"));
+        assert_eq!(bits(&p_pre), bits(&p), "{}: prepacked != per-call", what("matmul"));
         let got = [bits(&p), bits(&p_tn), bits(&p_nt)];
         match &baselines {
             None => baselines = Some(got),
@@ -154,6 +186,39 @@ fn tall_skinny_and_short_fat() {
 fn comfortably_blocked() {
     for &(n, k, m) in &shapes()[15..] {
         check_shape(n, k, m);
+    }
+}
+
+#[test]
+fn narrow_products_match_the_naive_bits() {
+    // Every width below the register tile, row counts that leave a ragged
+    // tail of the eight-row interleave, and an `A` seeded with +0, -0 and
+    // subnormals: the naive loop skips exact zeros, the narrow kernel
+    // accumulates their ±0 products, and the bits must not differ.
+    let specials = [0.0f32, -0.0, f32::MIN_POSITIVE / 8.0, -1e-41, f32::MIN_POSITIVE];
+    for m in 1..NR {
+        for &(n, k) in &[(1usize, 7usize), (5, 64), (9, KC), (27, KC + 3), (67, 19)] {
+            assert!(!use_blocked(n, k, m), "narrow shapes never take the blocked path");
+            let mut rng = StdRng::seed_from_u64(0x6e61 ^ ((n * 1000 + k) * 10 + m) as u64);
+            let mut a = random_matrix(&mut rng, n, k);
+            for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+                if rng.gen_range(0..3) == 0 {
+                    *v = specials[i % specials.len()];
+                }
+            }
+            let b = random_matrix(&mut rng, k, m);
+            let reference = bits(&naive(&a, &b));
+            let ra = RefMatrix::from_matrix(&a);
+            let rb = RefMatrix::from_matrix(&b);
+            let abs =
+                ra.map(f64::abs).matmul(&rb.map(f64::abs)).map(|s| (k as f64 + 4.0) * EPS32 * s);
+            for threads in [1usize, 2, 4, 8] {
+                let p = with_threads(threads, || a.matmul(&b));
+                let what = format!("narrow {n}x{k}x{m} @{threads}t");
+                assert_eq!(bits(&p), reference, "{what}: not the naive bits");
+                assert_close(&what, &p, &ra.matmul(&rb), op_ulps("matmul", k), &abs);
+            }
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Cache-blocked GEMM microkernels behind the three [`Matrix`](crate::Matrix) matmul
+//! Cache-blocked GEMM microkernels behind the three [`Matrix`] matmul
 //! variants.
 //!
 //! The naive `ikj` loops stream the full `B` operand through cache once per
@@ -6,14 +6,25 @@
 //! compute-bound. This module implements the classic BLIS-style blocking
 //! scheme in safe, std-only Rust:
 //!
-//! * **Panel packing.** `B` is packed once per call into column panels of
-//!   [`NR`] lanes (`panel[p * NR + l] = B[p, j0 + l]`, zero-padded at the
-//!   ragged edge) so the microkernel reads it as one forward-moving
-//!   contiguous stream. Each worker packs its own `A` row panels of [`MR`]
-//!   rows per [`KC`]-deep slab the same way. Packing is what makes the inner
-//!   loop autovectorization-friendly regardless of the logical operand
-//!   layout — the same packed kernel serves `A·B`, `Aᵀ·B`, and `A·Bᵀ` by
-//!   changing only the *pack-time* strides.
+//! * **Panel packing.** `B` is packed into column panels of [`NR`] lanes
+//!   (`panel[p * NR + l] = B[p, j0 + l]`, zero-padded at the ragged edge)
+//!   so the microkernel reads it as one forward-moving contiguous stream.
+//!   Each worker packs its own `A` row panels of [`MR`] rows per
+//!   [`KC`]-deep slab the same way. Packing is what makes the inner loop
+//!   autovectorization-friendly regardless of the logical operand layout —
+//!   the same packed kernel serves `A·B`, `Aᵀ·B`, and `A·Bᵀ` by changing
+//!   only the *pack-time* strides.
+//! * **Where packed `B` comes from.** The matmul variants pack `B` per call
+//!   into a thread-local arena: the tape's weights change every training
+//!   step, so there is nothing to reuse. Inference multiplies by the same
+//!   weights for every batch, so [`PackedB`] holds a pack built once per
+//!   parameter version (`ParamSet::packed`, dropped by every `&mut`
+//!   accessor of the value) and compiled-plan replays hand it straight to
+//!   the shared kernel body — weight-stationary inference, same bits.
+//! * **Narrow products.** Right operands narrower than [`NR`] (the attention
+//!   energies `(n×H')·(H'×1)` and Θ's output layer) skip the padded tile and
+//!   run `gemm_narrow`, which keeps eight rows of accumulators in flight
+//!   instead of the one dependent add chain per row of the naive loop.
 //! * **Register-blocked microkernel.** An [`MR`]`x`[`NR`] accumulator tile
 //!   lives in a local array; each of the `KC` iterations broadcasts one `A`
 //!   lane against [`NR`] `B` lanes. The constant tile bounds let LLVM keep
@@ -34,12 +45,13 @@
 //! per-element operation sequence as the historical naive kernels, so for
 //! finite inputs the blocked path is **bit-identical** to them — golden
 //! fixtures, thread-count invariance, and the chunked-predict equality
-//! tests all hold without re-blessing. The per-op ULP budgets in
-//! `adamel-oracle` are nonetheless widened by a per-[`KC`]-panel term
-//! (DESIGN.md §15) so a future kernel may split the `k` reduction across
-//! panels without a budget change.
+//! tests all hold without re-blessing. The narrow kernel follows the same
+//! rule (see `gemm_narrow` for why it may drop the naive `a == 0` skip).
+//! The per-op ULP budgets in `adamel-oracle` are nonetheless widened by a
+//! per-[`KC`]-panel term (DESIGN.md §15) so a future kernel may split the
+//! `k` reduction across panels without a budget change.
 
-use crate::parallel;
+use crate::{parallel, Matrix};
 use std::cell::Cell;
 
 /// Microkernel tile height: rows of `A` (and `C`) per register tile.
@@ -98,8 +110,58 @@ thread_local! {
     static PACK_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
+/// A right operand packed once into the [`NR`]-lane column panels the
+/// blocked kernel reads, for reuse across every product against the same
+/// matrix. `ParamSet::packed` keeps one beside each weight so
+/// compiled-plan replays skip the per-call `B` pack.
+pub struct PackedB {
+    k: usize,
+    m: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs a row-major `k x m` matrix.
+    pub fn new(b: &Matrix) -> Self {
+        let (k, m) = b.shape();
+        let mut panels = Vec::new();
+        pack_b(k, m, &Operand { data: b.as_slice(), rs: m, cs: 1 }, &mut panels);
+        Self { k, m, panels }
+    }
+
+    /// Rows of the packed matrix (the product's inner dimension).
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of the packed matrix (the product's output width).
+    pub fn cols(&self) -> usize {
+        self.m
+    }
+
+    /// Bytes held by the packed panels (zero-padded to whole [`NR`] lanes).
+    pub fn bytes(&self) -> u64 {
+        (self.panels.capacity() * 4) as u64
+    }
+}
+
+/// Settles the empty cases every kernel shares: nothing to write when
+/// `n` or `m` is zero, and an exact zero output when `k` is. Returns true
+/// when `out` is final.
+fn degenerate(k: usize, out: &mut [f32]) -> bool {
+    if out.is_empty() {
+        return true;
+    }
+    if k == 0 {
+        out.fill(0.0);
+        return true;
+    }
+    false
+}
+
 /// Computes `out = A · B` for logical `(n,k) x (k,m)` operands, fully
-/// overwriting the row-major `out` (length `n * m`).
+/// overwriting the row-major `out` (length `n * m`). `B` is packed per call
+/// into the dispatching thread's arena.
 pub(crate) fn gemm(
     n: usize,
     k: usize,
@@ -109,11 +171,7 @@ pub(crate) fn gemm(
     out: &mut [f32],
 ) {
     debug_assert_eq!(out.len(), n * m, "gemm: output buffer shape mismatch");
-    if n == 0 || m == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
+    if degenerate(k, out) {
         return;
     }
     // Pack B once, on the dispatching thread; workers share it read-only.
@@ -123,20 +181,91 @@ pub(crate) fn gemm(
     // grown capacity, so capacity *is* the footprint. `pack_a` reports the
     // max across workers (every worker observes the same gauge).
     adamel_obs::mem::observe("tensor.gemm.pack_b.bytes", (bbuf.capacity() * 4) as u64);
-    let bpacked: &[f32] = &bbuf;
+    run_blocked(k, m, a, &bbuf, out);
+    PACK_B.with(|c| c.set(bbuf));
+}
+
+/// [`gemm`] against a `B` packed ahead of time: `out = A · B` for a logical
+/// `(n, b.rows())` `A`. Same kernel body, so the result is bit-identical to
+/// the per-call pack.
+pub(crate) fn gemm_prepacked(n: usize, a: &Operand<'_>, b: &PackedB, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), n * b.m, "gemm_prepacked: output buffer shape mismatch");
+    if degenerate(b.k, out) {
+        return;
+    }
+    run_blocked(b.k, b.m, a, &b.panels, out);
+}
+
+/// The blocked kernel body shared by both `B` sources: `MC`-row blocks of
+/// `out` dispatched across workers, each packing its own `A` panels.
+fn run_blocked(k: usize, m: usize, a: &Operand<'_>, bpacked: &[f32], out: &mut [f32]) {
     parallel::parallel_for_row_blocks(out, m, MC, 2 * k * m, |i0, c_block| {
         let mut abuf = PACK_A.with(Cell::take);
         gemm_block(i0, c_block.len() / m, k, m, a, bpacked, c_block, &mut abuf);
         adamel_obs::mem::observe("tensor.gemm.pack_a.bytes", (abuf.capacity() * 4) as u64);
         PACK_A.with(|c| c.set(abuf));
     });
-    PACK_B.with(|c| c.set(bbuf));
+}
+
+/// Rows of `A` the narrow kernel keeps in flight: eight independent
+/// accumulator chains per output column hide the add latency that a
+/// one-row loop serializes on.
+const NARROW_ROWS: usize = 8;
+
+/// `out = A · B` for row-major `(n,k)` `A` and a narrow row-major `(k,m)`
+/// `B` with `m < NR` — the attention energies and the classifier's output
+/// layer, which the blocked kernel would pad to a full [`NR`] tile.
+///
+/// Rows are interleaved [`NARROW_ROWS`] at a time, but every output element
+/// still has one accumulator fed in ascending-`k` order. Unlike the naive
+/// loop it does not skip `a == 0.0`; for finite `B` that skip only ever adds
+/// `±0.0` to an accumulator that starts at `+0.0` and so is never `-0.0`,
+/// which leaves it unchanged — the result is bit-identical to the naive
+/// loop, by the same argument the blocked path's zero-padded edges rely on.
+pub(crate) fn gemm_narrow(n: usize, k: usize, m: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert!(m < NR, "gemm_narrow: {m} columns is not narrow");
+    debug_assert_eq!(out.len(), n * m, "gemm_narrow: output buffer shape mismatch");
+    if degenerate(k, out) {
+        return;
+    }
+    parallel::parallel_for_row_blocks(out, m, NARROW_ROWS, 2 * k * m, |i0, c_block| {
+        let rows = c_block.len() / m;
+        let a_block = &a[i0 * k..(i0 + rows) * k];
+        if rows == NARROW_ROWS {
+            narrow_tile::<NARROW_ROWS>(a_block, k, m, b, c_block);
+        } else {
+            for (a_row, c_row) in a_block.chunks_exact(k).zip(c_block.chunks_exact_mut(m)) {
+                narrow_tile::<1>(a_row, k, m, b, c_row);
+            }
+        }
+    });
+}
+
+/// `R` rows of the narrow product: `c[r][l] = Σ_p a[r][p] * b[p][l]`, one
+/// accumulator per element, ascending `p`. Columns run one at a time so the
+/// `R` accumulators stay in registers; the `R x k` slab of `A` stays in L1
+/// across them.
+#[inline]
+fn narrow_tile<const R: usize>(a: &[f32], k: usize, m: usize, b: &[f32], c: &mut [f32]) {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    for l in 0..m {
+        let mut acc = [0.0f32; R];
+        for (p, bp) in b.iter().skip(l).step_by(m).enumerate() {
+            for (slot, row) in acc.iter_mut().zip(&rows) {
+                *slot += row[p] * bp;
+            }
+        }
+        for (r, v) in acc.into_iter().enumerate() {
+            c[r * m + l] = v;
+        }
+    }
 }
 
 /// Packs `B` into `NR`-lane column panels: lane `l` of panel `jp` at depth
 /// `p` is `B[p, jp*NR + l]`, with out-of-range lanes zeroed so edge tiles
 /// accumulate exact `±0.0` products that are never stored.
 fn pack_b(k: usize, m: usize, b: &Operand<'_>, buf: &mut Vec<f32>) {
+    adamel_obs::trace_count!("gemm.pack_b", 1);
     let panels = m.div_ceil(NR);
     buf.clear();
     buf.resize(panels * k * NR, 0.0);
@@ -263,14 +392,18 @@ mod tests {
         Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect())
     }
 
-    /// The historical naive kernel, reimplemented locally so the blocked
-    /// path is pinned to the exact accumulation order, not just "close".
+    /// The historical naive kernel, reimplemented locally (exact-zero skip
+    /// included) so the blocked path is pinned to the exact accumulation
+    /// order, not just "close".
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
         let (n, k, m) = (a.rows(), a.cols(), b.cols());
         let mut out = Matrix::zeros(n, m);
         for i in 0..n {
             for p in 0..k {
                 let av = a.get(i, p);
+                if av == 0.0 {
+                    continue;
+                }
                 for j in 0..m {
                     let v = out.get(i, j) + av * b.get(p, j);
                     out.set(i, j, v);
@@ -332,6 +465,78 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), serial, "threads={threads}");
         }
+    }
+
+    fn plain<'a>(m: &'a Matrix) -> Operand<'a> {
+        Operand { data: m.as_slice(), rs: m.cols(), cs: 1 }
+    }
+
+    #[test]
+    fn prepacked_matches_per_call_pack_and_naive_at_every_thread_count() {
+        for &(n, k, m) in &[
+            (MR, 3, NR),
+            (MR - 1, 5, NR - 1),
+            (MR + 1, KC - 1, NR + 1),
+            (MR * 3 + 1, KC + 1, NR * 2 + 3),
+            (MC - 1, 7, NR),
+            (MC + 1, KC * 2 + 3, NR * 2),
+            (17, KC, 13),
+        ] {
+            let a = fill(n, k, (n * 7 + k) as u64);
+            let b = fill(k, m, (k * 7 + m) as u64);
+            let packed = PackedB::new(&b);
+            assert_eq!((packed.rows(), packed.cols()), (k, m));
+            let reference = naive(&a, &b);
+            for threads in [1, 2, 4, 8] {
+                let mut per_call = vec![0.0f32; n * m];
+                let mut prepacked = vec![f32::NAN; n * m];
+                with_threads(threads, || {
+                    gemm(n, k, m, &plain(&a), &plain(&b), &mut per_call);
+                    gemm_prepacked(n, &plain(&a), &packed, &mut prepacked);
+                });
+                let what = format!("shape ({n},{k},{m}) @{threads}t");
+                assert_eq!(prepacked, per_call, "{what}: prepacked vs per-call pack");
+                assert_eq!(prepacked.as_slice(), reference.as_slice(), "{what}: vs naive");
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_kernel_is_bit_identical_to_naive() {
+        // Signed zeros and subnormals in A: the naive loop skips `a == 0`
+        // while the narrow kernel adds the ±0 product, which must not show.
+        let specials = [0.0f32, -0.0, f32::MIN_POSITIVE / 4.0, -f32::MIN_POSITIVE / 3.0, 1e-40];
+        for m in 1..NR {
+            for &(n, k) in &[(1, 1), (3, 5), (NARROW_ROWS + 1, 33), (27, 256), (61, KC + 7)] {
+                let mut a = fill(n, k, (n * 31 + k + m) as u64);
+                for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+                    if i % 3 == 0 {
+                        *v = specials[(i / 3) % specials.len()];
+                    }
+                }
+                let b = fill(k, m, (k * 31 + m) as u64);
+                let reference = naive(&a, &b);
+                for threads in [1, 2, 4, 8] {
+                    let mut out = vec![f32::NAN; n * m];
+                    with_threads(threads, || {
+                        gemm_narrow(n, k, m, a.as_slice(), b.as_slice(), &mut out)
+                    });
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&out),
+                        bits(reference.as_slice()),
+                        "shape ({n},{k},{m}) @{threads}t"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_kernel_writes_zeros_for_empty_inner_dimension() {
+        let mut out = vec![7.0f32; 9 * 3];
+        gemm_narrow(9, 0, 3, &[], &[], &mut out);
+        assert!(out.iter().all(|&v| v.to_bits() == 0));
     }
 
     #[test]

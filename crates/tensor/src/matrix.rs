@@ -2,11 +2,12 @@
 //!
 //! The three matmul variants route products above [`crate::gemm`]'s FLOP
 //! floor through the cache-blocked, panel-packed microkernels of that
-//! module; small or degenerate shapes keep the historical naive loops
-//! (`ikj`-ordered, contiguous SAXPY inner loop). The two paths are
-//! **bit-identical** for finite inputs — both accumulate every output
-//! element with a single accumulator in ascending-`k` order — so the
-//! threshold is purely a performance knob.
+//! module; `A·B` with fewer than [`gemm::NR`] output columns runs that
+//! module's row-interleaved narrow kernel, and other small or degenerate
+//! shapes keep the historical naive loops (`ikj`-ordered, contiguous SAXPY
+//! inner loop). All paths are **bit-identical** for finite inputs — each
+//! accumulates every output element with a single accumulator in
+//! ascending-`k` order — so the dispatch is purely a performance choice.
 //!
 //! Every output-row-partitioned kernel (the matmul variants and the large
 //! elementwise/broadcast ops) dispatches through
@@ -213,6 +214,10 @@ impl Matrix {
             gemm::gemm(n, k, m, &a, &b, &mut out.data);
             return;
         }
+        if m < gemm::NR {
+            gemm::gemm_narrow(n, k, m, &self.data, &other.data, &mut out.data);
+            return;
+        }
         out.fill_zero();
         parallel::parallel_for_rows(&mut out.data, m, 2 * k * m, |i, out_row| {
             let a_row = &self.data[i * k..(i + 1) * k];
@@ -226,6 +231,27 @@ impl Matrix {
                 }
             }
         });
+    }
+
+    /// [`matmul_into`](Self::matmul_into) against a right operand packed
+    /// ahead of time: `(n,k) x packed (k,m) -> (n,m)`. Always runs the
+    /// blocked kernel (bit-identical to every other path), so callers keep
+    /// it for shapes where [`gemm::use_blocked`] holds and reuse one pack
+    /// across many products — the compiled plan does this for weights.
+    pub fn matmul_prepacked_into(&self, other: &gemm::PackedB, out: &mut Matrix) {
+        assert_eq!(
+            self.cols,
+            other.rows(),
+            "Matrix::matmul_prepacked: {}x{} * packed {}x{} shape mismatch",
+            self.rows,
+            self.cols,
+            other.rows(),
+            other.cols()
+        );
+        let (n, k) = (self.rows, self.cols);
+        out.reset_shape(n, other.cols());
+        let a = gemm::Operand { data: &self.data, rs: k, cs: 1 };
+        gemm::gemm_prepacked(n, &a, other, &mut out.data);
     }
 
     /// `selfᵀ * other`; shapes `(k,n)ᵀ x (k,m) -> (n,m)`. Used by backward

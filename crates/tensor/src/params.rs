@@ -3,8 +3,16 @@
 //! Parameters live outside the autograd tape so a fresh [`Graph`](crate::Graph)
 //! can be built every step while values, gradients, and optimizer state
 //! persist across steps.
+//!
+//! Each value can also carry its GEMM packing (`ParamSet::packed`), built
+//! on first use and dropped by every accessor that can change the value, so
+//! inference packs a weight once per parameter version instead of once per
+//! product.
 
+use crate::gemm::PackedB;
 use crate::matrix::Matrix;
+use adamel_obs::mem::MemScope;
+use std::sync::OnceLock;
 
 /// Handle to a parameter inside a [`ParamSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -14,6 +22,25 @@ struct ParamEntry {
     name: String,
     value: Matrix,
     grad: Matrix,
+    /// `value` packed for the blocked GEMM; empty until first requested and
+    /// emptied whenever `value` may change.
+    packed: OnceLock<Packed>,
+}
+
+/// A pack plus its credit on the `tensor.params.packed.bytes` gauge, which
+/// is released when the pack is dropped.
+struct Packed {
+    panels: PackedB,
+    _ledger: MemScope,
+}
+
+impl ParamEntry {
+    /// `&mut` access to the value; drops the pack first, so no pack of an
+    /// older value can outlive the borrow.
+    fn value_mut(&mut self) -> &mut Matrix {
+        self.packed.take();
+        &mut self.value
+    }
 }
 
 /// A named collection of trainable matrices with gradient buffers.
@@ -33,7 +60,7 @@ impl ParamSet {
     /// prefix).
     pub fn insert(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
         let grad = Matrix::zeros(value.rows(), value.cols());
-        self.entries.push(ParamEntry { name: name.into(), value, grad });
+        self.entries.push(ParamEntry { name: name.into(), value, grad, packed: OnceLock::new() });
         ParamId(self.entries.len() - 1)
     }
 
@@ -58,9 +85,28 @@ impl ParamSet {
         &self.entries[id.0].value
     }
 
-    /// Mutable value access (used by optimizers and serialization).
+    /// Mutable value access (used by optimizers and serialization). Drops
+    /// the value's GEMM pack, if one was built.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.entries[id.0].value
+        self.entries[id.0].value_mut()
+    }
+
+    /// The current value packed into the blocked GEMM's `B` panels, for
+    /// [`Matrix::matmul_prepacked_into`]. Built on first request and reused
+    /// until the value next changes: [`value_mut`](Self::value_mut),
+    /// [`value_and_grad_mut`](Self::value_and_grad_mut) and
+    /// [`restore`](Self::restore) all drop it, so a pack of an older value
+    /// cannot be observed. Concurrent first requests build it once; the
+    /// pack itself is serial work, never a parallel dispatch.
+    pub(crate) fn packed(&self, id: ParamId) -> &PackedB {
+        let e = &self.entries[id.0];
+        &e.packed
+            .get_or_init(|| {
+                let panels = PackedB::new(&e.value);
+                let ledger = MemScope::new("tensor.params.packed.bytes", panels.bytes());
+                Packed { panels, _ledger: ledger }
+            })
+            .panels
     }
 
     /// Accumulated gradient of a parameter.
@@ -78,6 +124,7 @@ impl ParamSet {
     /// gradient.
     pub fn value_and_grad_mut(&mut self, id: ParamId) -> (&mut Matrix, &Matrix) {
         let e = &mut self.entries[id.0];
+        e.packed.take();
         (&mut e.value, &e.grad)
     }
 
@@ -132,7 +179,7 @@ impl ParamSet {
         assert_eq!(snapshot.len(), self.entries.len(), "ParamSet::restore arity mismatch");
         for (e, s) in self.entries.iter_mut().zip(snapshot) {
             assert_eq!(e.value.shape(), s.shape(), "ParamSet::restore shape mismatch");
-            e.value = s.clone();
+            *e.value_mut() = s.clone();
         }
     }
 }

@@ -14,8 +14,11 @@
 //!
 //! Replay calls the exact same `*_into` kernels the tape ops delegate to
 //! ([`Matrix::matmul_into`] and friends), so plan output is **bit-identical**
-//! to the tape path; the equivalence suite in `adamel` compares the two
-//! paths bit-for-bit across chunk boundaries and feature modes. The runtime
+//! to the tape path. The one difference is where a blocked product against
+//! a parameter gets its packed `B`: from `ParamSet::packed`, built once per
+//! parameter version, instead of a per-call pack — the same kernel body
+//! either way. The equivalence suite in `adamel` compares the two paths
+//! bit-for-bit across chunk boundaries and feature modes. The runtime
 //! sanitizer hooks ([`crate::sanitize`]) run per replayed step with the same
 //! op provenance as the tape.
 //!
@@ -30,6 +33,7 @@
 //! and callers fall back to the tape path). Loss/reduction ops are recording
 //! -only and likewise rejected when reachable from the requested outputs.
 
+use crate::gemm;
 use crate::graph::{Graph, Op, Var};
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
@@ -368,7 +372,18 @@ impl CompiledPlan {
                 }
             };
             match &step.op {
-                StepOp::MatMul(a, b) => val(*a).matmul_into(val(*b), out),
+                StepOp::MatMul(a, b) => {
+                    let (lhs, rhs) = (val(*a), val(*b));
+                    match *b {
+                        // Weight-stationary: a blocked product against a
+                        // parameter reads the pack kept beside its value
+                        // instead of re-packing the weight every replay.
+                        Src::Param(id) if gemm::use_blocked(lhs.rows(), lhs.cols(), rhs.cols()) => {
+                            lhs.matmul_prepacked_into(params.packed(id), out)
+                        }
+                        _ => lhs.matmul_into(rhs, out),
+                    }
+                }
                 StepOp::Add(a, b) => val(*a).add_into(val(*b), out),
                 StepOp::AddRowBroadcast(a, b) => val(*a).add_row_broadcast_into(val(*b), out),
                 StepOp::Mul(a, b) => val(*a).mul_into(val(*b), out),
@@ -423,6 +438,7 @@ impl CompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::{Adam, Optimizer};
     use crate::params::ParamSet;
 
     /// Records a tiny two-layer forward and returns everything a replay
@@ -467,19 +483,56 @@ mod tests {
         }
     }
 
+    /// A deterministic `rows x cols` fill in `[-1, 1]`.
+    fn wave(rows: usize, cols: usize, seed: f32) -> Matrix {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| (i as f32 * 0.61 + seed).sin()).collect(),
+        )
+    }
+
     #[test]
     fn replay_reads_live_parameter_values() {
-        let (mut params, w, b) = setup();
-        let (g, input, out) = record(&params, w, b, batch(2, 0.0));
+        // A blocked shape, so the replay multiplies by the weight's pack
+        // rather than its value: each of the three mutators must drop that
+        // pack, or the replay after it would still use the old weights.
+        let (n, k, m) = (16, 16, 16);
+        assert!(gemm::use_blocked(n, k, m));
+        let mut params = ParamSet::new();
+        let w = params.insert("w", wave(k, m, 0.5));
+        let b = params.insert("b", wave(1, m, 1.5));
+        let x = wave(n, k, 2.5);
+        let (g, input, out) = record(&params, w, b, x.clone());
         let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
-        // Mutate parameters after compilation; the plan must see the update.
+        let mut bufs = PlanBuffers::new();
+        let mut replay_matches_fresh_tape = |params: &ParamSet, after: &str| {
+            let (g2, _, out2) = record(params, w, b, x.clone());
+            plan.execute(params, &x, &mut bufs);
+            assert_eq!(
+                plan.output(0, &bufs).as_slice(),
+                g2.value(out2).as_slice(),
+                "replay after {after}"
+            );
+        };
+        // The first replay builds the pack the mutations must invalidate.
+        replay_matches_fresh_tape(&params, "compile");
+
+        for (i, v) in params.value_mut(w).as_mut_slice().iter_mut().enumerate() {
+            *v += 0.01 * i as f32;
+        }
+        replay_matches_fresh_tape(&params, "value_mut");
+
+        // An optimizer step writes through value_and_grad_mut.
+        for (i, g) in params.grad_mut(w).as_mut_slice().iter_mut().enumerate() {
+            *g = (i as f32 * 0.37).cos();
+        }
+        Adam::with_lr(0.1).step(&mut params);
+        replay_matches_fresh_tape(&params, "an Adam step");
+
         let snapshot: Vec<Matrix> = params.snapshot().iter().map(|m| m.scale(-0.5)).collect();
         params.restore(&snapshot);
-        let x = batch(3, 2.0);
-        let (g2, _, out2) = record(&params, w, b, x.clone());
-        let mut bufs = PlanBuffers::new();
-        plan.execute(&params, &x, &mut bufs);
-        assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice());
+        replay_matches_fresh_tape(&params, "restore");
     }
 
     #[test]

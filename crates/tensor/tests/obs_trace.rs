@@ -1,11 +1,19 @@
 //! At `full`, every tape op records one span and `backward` records a
 //! coarse span. This test file runs in its own process, so forcing the
-//! process-global trace level is safe.
+//! process-global trace level cannot disturb other test binaries; within
+//! the file, tests run on parallel threads and serialize on [`LOCK`].
 
 use adamel_tensor::{Adam, Graph, Matrix, Optimizer, ParamSet};
+use std::sync::Mutex;
+
+/// The forced level and the span registry are process-global: without one
+/// shared lock, one test's `report::reset()` or level change can land
+/// between another test's ops and its report read.
+static LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn full_trace_covers_tape_ops_backward_and_optimizer() {
+    let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     adamel_obs::set_forced(Some(adamel_obs::TraceLevel::Full));
     adamel_obs::report::reset();
 
@@ -33,6 +41,7 @@ fn full_trace_covers_tape_ops_backward_and_optimizer() {
 
 #[test]
 fn spans_level_skips_per_op_spans_but_keeps_coarse_ones() {
+    let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     adamel_obs::set_forced(Some(adamel_obs::TraceLevel::Spans));
     adamel_obs::report::reset();
 
