@@ -13,6 +13,10 @@ use std::io::{self, BufRead, Write};
 
 const MAGIC: &str = "adamel-model v1";
 
+/// Trailing config token of a uniform-attention ablation model. A learned
+/// model writes none, so its file stays readable by builds that predate it.
+const UNIFORM_TAG: &str = "uniform";
+
 fn mode_tag(mode: FeatureMode) -> &'static str {
     match mode {
         FeatureMode::SharedOnly => "shared",
@@ -38,7 +42,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
 pub fn save_model(model: &AdamelModel, w: &mut impl Write) -> io::Result<()> {
     let cfg = model.config();
     writeln!(w, "{MAGIC}")?;
-    writeln!(
+    write!(
         w,
         "config {} {} {} {} {} {} {} {} {} {} {} {}",
         cfg.embed_dim,
@@ -54,6 +58,10 @@ pub fn save_model(model: &AdamelModel, w: &mut impl Write) -> io::Result<()> {
         mode_tag(cfg.feature_mode),
         cfg.seed,
     )?;
+    if cfg.uniform_attention {
+        write!(w, " {UNIFORM_TAG}")?;
+    }
+    writeln!(w)?;
     let attrs = model.extractor().schema().attributes();
     writeln!(w, "schema {}", attrs.join(" "))?;
     let snapshot = model.snapshot_params();
@@ -78,17 +86,20 @@ pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
     }
     let config_line = next()?;
     let parts: Vec<&str> = config_line.split_whitespace().collect();
-    if parts.len() != 13 || parts.first() != Some(&"config") {
+    let uniform_attention = parts.get(13) == Some(&UNIFORM_TAG);
+    if parts.len() != 13 + usize::from(uniform_attention) || parts.first() != Some(&"config") {
         return Err(bad("malformed config line"));
     }
     let field = |i: usize| parts.get(i).copied().ok_or_else(|| bad("malformed config line"));
     let p = |i: usize| -> io::Result<usize> { field(i)?.parse().map_err(|_| bad("bad integer")) };
+    // A zero width would panic while the model is built, not fail the load.
+    let dim = |i: usize| p(i).and_then(|d| if d == 0 { Err(bad("zero dimension")) } else { Ok(d) });
     let pf = |i: usize| -> io::Result<f32> { field(i)?.parse().map_err(|_| bad("bad float")) };
     let cfg = AdamelConfig {
-        embed_dim: p(1)?,
-        feature_dim: p(2)?,
-        attention_dim: p(3)?,
-        hidden_dim: p(4)?,
+        embed_dim: dim(1)?,
+        feature_dim: dim(2)?,
+        attention_dim: dim(3)?,
+        hidden_dim: dim(4)?,
         crop: p(5)?,
         learning_rate: pf(6)?,
         epochs: p(7)?,
@@ -98,7 +109,7 @@ pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
         feature_mode: mode_from_tag(field(11)?)?,
         seed: field(12)?.parse().map_err(|_| bad("bad seed"))?,
         grad_clip: Some(5.0),
-        uniform_attention: false,
+        uniform_attention,
     };
 
     let schema_line = next()?;
@@ -152,9 +163,9 @@ mod tests {
     use adamel_schema::{Domain, EntityPair, Record, SourceId};
     use std::io::BufReader;
 
-    fn trained_model() -> (AdamelModel, Vec<EntityPair>) {
+    fn trained_model(cfg: AdamelConfig) -> (AdamelModel, Vec<EntityPair>) {
         let schema = Schema::new(vec!["name".into()]);
-        let mut model = AdamelModel::new(AdamelConfig::tiny(), schema);
+        let mut model = AdamelModel::new(cfg, schema);
         let mut train = Vec::new();
         for i in 0..6u64 {
             let mut a = Record::new(SourceId(0), i);
@@ -172,7 +183,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trip_is_exact() {
-        let (model, pairs) = trained_model();
+        let (model, pairs) = trained_model(AdamelConfig::tiny());
         let mut buf = Vec::new();
         save_model(&model, &mut buf).expect("save to Vec cannot fail");
         let restored = load_model(&mut BufReader::new(&buf[..])).expect("round trip should load");
@@ -192,10 +203,56 @@ mod tests {
 
     #[test]
     fn rejects_truncated_file() {
-        let (model, _) = trained_model();
+        let (model, _) = trained_model(AdamelConfig::tiny());
         let mut buf = Vec::new();
         save_model(&model, &mut buf).expect("save to Vec cannot fail");
         let truncated = &buf[..buf.len() / 2];
         assert!(load_model(&mut BufReader::new(truncated)).is_err());
+    }
+
+    fn saved(model: &AdamelModel) -> String {
+        let mut buf = Vec::new();
+        save_model(model, &mut buf).expect("save to Vec cannot fail");
+        String::from_utf8(buf).expect("model files are text")
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn uniform_attention_survives_round_trip() {
+        let (model, pairs) = trained_model(AdamelConfig::tiny().with_uniform_attention(true));
+        let text = saved(&model);
+        let restored = load_model(&mut text.as_bytes()).expect("round trip should load");
+        assert!(restored.config().uniform_attention);
+        let (want, got) = (model.score(pairs.clone()), restored.score(pairs.clone()));
+        assert_eq!(bits(want.scores()), bits(got.scores()));
+        assert_eq!(bits(want.attention().as_slice()), bits(got.attention().as_slice()));
+
+        // Without the trailing token the line has 13 tokens: learned attention.
+        let learned = text.replacen(" uniform\n", "\n", 1);
+        assert_eq!(learned.lines().nth(1).map(|l| l.split_whitespace().count()), Some(13));
+        let restored = load_model(&mut learned.as_bytes()).expect("13-token config loads");
+        assert!(!restored.config().uniform_attention);
+        assert_ne!(bits(restored.attention(&pairs).as_slice()), bits(want.attention().as_slice()));
+    }
+
+    #[test]
+    fn rejects_zero_dimensions() {
+        let (model, _) = trained_model(AdamelConfig::tiny());
+        let text = saved(&model);
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let config = lines[1].clone();
+        // embed_dim, feature_dim, attention_dim and hidden_dim, in turn.
+        for field in 1..=4 {
+            let mut tokens: Vec<&str> = config.split_whitespace().collect();
+            tokens[field] = "0";
+            lines[1] = tokens.join(" ");
+            let Err(e) = load_model(&mut lines.join("\n").as_bytes()) else {
+                panic!("config field {field} = 0 loaded");
+            };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "field {field}");
+        }
     }
 }

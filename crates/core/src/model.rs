@@ -108,10 +108,10 @@ impl ScoredPairs {
 /// scaling-constant check.
 const PLAN_PROBE_ROWS: usize = 2;
 
-/// Batch-inference chunk size: `predict`/`attention` build one bounded
-/// autograd graph per block of this many rows and score blocks on scoped
-/// worker threads. Every forward op is row-independent, so block boundaries
-/// (a function of this constant alone, never the thread count) do not change
+/// Batch-inference chunk size: `predict`/`attention` replay the compiled
+/// plan once per block of this many rows and score blocks on scoped worker
+/// threads. Every forward op is row-independent, so block boundaries (a
+/// function of this constant alone, never the thread count) do not change
 /// the numbers: chunked output is bit-identical to one monolithic graph.
 const PREDICT_CHUNK_ROWS: usize = 512;
 
@@ -125,12 +125,10 @@ pub struct AdamelModel {
     pub(crate) extractor: FeatureExtractor,
     pub(crate) params: ParamSet,
     pub(crate) ids: ModelParams,
-    /// Lazily compiled inference plans. `None` inside the cell means the
-    /// graph was probed and found non-specializable (uniform-attention
-    /// ablation, zero features) — inference then stays on the tape path.
-    /// Plans read parameters live from `self.params`, so training and
+    /// Lazily compiled inference plans, the only inference path. Plans
+    /// read parameters live from `self.params`, so training and
     /// [`restore_params`](Self::restore_params) never invalidate them.
-    plan: OnceLock<Option<CompiledForward>>,
+    plan: OnceLock<CompiledForward>,
 }
 
 impl AdamelModel {
@@ -218,7 +216,6 @@ impl AdamelModel {
         let _forward = adamel_obs::span("forward");
         let f = self.extractor.num_features();
         let d = self.cfg.embed_dim;
-        let n = encoded.rows();
         let input = g.constant(encoded);
 
         // Per-feature latent projections x_j (Eq. 4).
@@ -247,13 +244,11 @@ impl AdamelModel {
             ts.push(t);
         }
         let e = g.concat_cols(&energies);
-        // f(x), rows sum to 1 (Eq. 6); the uniform-attention ablation
-        // replaces the learned distribution with the constant 1/F vector.
-        let attention = if self.cfg.uniform_attention {
-            g.constant(Matrix::full(n, f, 1.0 / f as f32))
-        } else {
-            g.softmax_rows(e)
-        };
+        // f(x), rows sum to 1 (Eq. 6). The uniform-attention ablation
+        // softmaxes a row of zeros instead: exactly 1/F per feature, with no
+        // batch-sized constant that would stop the plan from compiling.
+        let e = if self.cfg.uniform_attention { g.scale(e, 0.0) } else { e };
+        let attention = g.softmax_rows(e);
         drop(phase);
 
         let phase = adamel_obs::span("classifier");
@@ -279,31 +274,23 @@ impl AdamelModel {
     }
 
     /// The compiled inference plans, built on first use from one probe
-    /// forward at [`PLAN_PROBE_ROWS`] rows. Returns `None` when the graph
-    /// cannot be shape-specialized (the uniform-attention ablation records
-    /// a batch-sized constant; a featureless schema has nothing to record)
-    /// — callers then fall back to the tape path, which handles every graph.
-    fn compiled(&self) -> Option<&CompiledForward> {
-        self.plan
-            .get_or_init(|| {
-                let cols = self.extractor.num_features() * self.cfg.embed_dim;
-                if cols == 0 {
-                    return None;
-                }
-                let mut g = Graph::new();
-                let nodes = self.forward(&mut g, Matrix::zeros(PLAN_PROBE_ROWS, cols));
-                let predict =
-                    CompiledPlan::compile(&g, nodes.input, &[nodes.logits, nodes.attention])
-                        .ok()?;
-                let attention = CompiledPlan::compile(&g, nodes.input, &[nodes.attention]).ok()?;
-                Some(CompiledForward {
-                    predict,
-                    attention,
-                    predict_pool: BufferPool::new(),
-                    attention_pool: BufferPool::new(),
-                })
-            })
-            .as_ref()
+    /// forward at [`PLAN_PROBE_ROWS`] rows.
+    fn compiled(&self) -> &CompiledForward {
+        self.plan.get_or_init(|| {
+            let cols = self.extractor.num_features() * self.cfg.embed_dim;
+            let mut g = Graph::new();
+            let nodes = self.forward(&mut g, Matrix::zeros(PLAN_PROBE_ROWS, cols));
+            let compile = |outputs: &[Var]| {
+                CompiledPlan::compile(&g, nodes.input, outputs)
+                    .expect("the AdaMEL forward has no training-only op or batch-sized constant")
+            };
+            CompiledForward {
+                predict: compile(&[nodes.logits, nodes.attention]),
+                attention: compile(&[nodes.attention]),
+                predict_pool: BufferPool::new(),
+                attention_pool: BufferPool::new(),
+            }
+        })
     }
 
     /// Builds the full forward graph over an encoded batch and returns the
@@ -330,13 +317,6 @@ impl AdamelModel {
         self.score_encoded(encoded).0
     }
 
-    /// Tape-path scoring: records a fresh autograd graph per chunk. This is
-    /// the reference implementation the plan path is bit-compared against
-    /// (and the fallback for non-specializable graphs).
-    pub fn predict_encoded_tape(&self, encoded: &Matrix) -> Vec<f32> {
-        self.score_tape(encoded).0
-    }
-
     /// Scores `pairs` with **one** forward pass that yields both outputs:
     /// the Eq. 7 match scores of [`predict`](Self::predict) and the Eq. 5–6
     /// attention rows of [`attention`](Self::attention), bit-identical to
@@ -352,57 +332,16 @@ impl AdamelModel {
         ScoredPairs { pairs, scores, attention }
     }
 
-    /// Scores and attention for pre-encoded pairs. Replays the two-output
-    /// compiled plan when the graph is specializable, else records a tape
-    /// per chunk; both paths chunk at the same boundaries and are
-    /// bit-identical.
+    /// Scores and attention for pre-encoded pairs: replays the two-output
+    /// compiled plan once per [`PREDICT_CHUNK_ROWS`] block on the parallel
+    /// runtime, into warm buffers from the pool, and stitches both outputs
+    /// together in row order. Every forward op is row-independent and block
+    /// boundaries depend on the constant alone, so the result is the same
+    /// at any thread count and bit-identical to one monolithic
+    /// [`forward_graph`](Self::forward_graph).
     fn score_encoded(&self, encoded: &Matrix) -> (Vec<f32>, Matrix) {
-        match self.compiled() {
-            Some(cf) => self.score_plan(cf, encoded),
-            None => self.score_tape(encoded),
-        }
-    }
-
-    /// Plan-path scoring: replays the compiled program per chunk into warm
-    /// buffers from the pool and reads both outputs from the one replay.
-    /// Chunk boundaries are the same function of [`PREDICT_CHUNK_ROWS`] as
-    /// the tape path, each chunk's rows are staged by the same row-copy
-    /// `slice_rows` performs, and replay runs the same kernels the tape ops
-    /// delegate to — so both outputs are bit-identical to
-    /// [`score_tape`](Self::score_tape).
-    fn score_plan(&self, cf: &CompiledForward, encoded: &Matrix) -> (Vec<f32>, Matrix) {
+        let cf = self.compiled();
         adamel_obs::trace_span!("predict");
-        self.forward_chunks(encoded, |start, rows| {
-            let mut bufs = cf.predict_pool.checkout();
-            cf.predict.execute_rows(&self.params, encoded, start, rows, &mut bufs);
-            let out = (sigmoid(cf.predict.output(0, &bufs)), cf.predict.output(1, &bufs).clone());
-            cf.predict_pool.put_back(bufs);
-            out
-        })
-    }
-
-    /// Tape-path scoring: records one fresh autograd graph per chunk and
-    /// reads both outputs from it. The reference implementation the plan
-    /// path is bit-compared against, and the fallback for graphs the plan
-    /// compiler rejects (the uniform-attention ablation).
-    fn score_tape(&self, encoded: &Matrix) -> (Vec<f32>, Matrix) {
-        adamel_obs::trace_span!("predict");
-        self.forward_chunks(encoded, |start, rows| {
-            let mut g = Graph::new();
-            let nodes = self.forward(&mut g, encoded.slice_rows(start, rows));
-            (sigmoid(g.value(nodes.logits)), g.value(nodes.attention).clone())
-        })
-    }
-
-    /// Runs `chunk(start, rows)` over every [`PREDICT_CHUNK_ROWS`] block of
-    /// `encoded` on the parallel runtime and stitches the per-block scores
-    /// and attention rows together in row order. Every forward op is
-    /// row-independent and block boundaries depend on the constant alone,
-    /// so the result is the same at any thread count.
-    fn forward_chunks<K>(&self, encoded: &Matrix, chunk: K) -> (Vec<f32>, Matrix)
-    where
-        K: Fn(usize, usize) -> (Vec<f32>, Matrix) + Sync,
-    {
         let n = encoded.rows();
         let blocks = n.div_ceil(PREDICT_CHUNK_ROWS);
         adamel_obs::trace_count!("predict.rows", n as u64);
@@ -412,7 +351,13 @@ impl AdamelModel {
             PREDICT_CHUNK_ROWS * self.per_row_flops(),
             |b| {
                 let start = b * PREDICT_CHUNK_ROWS;
-                chunk(start, PREDICT_CHUNK_ROWS.min(n - start))
+                let rows = PREDICT_CHUNK_ROWS.min(n - start);
+                let mut bufs = cf.predict_pool.checkout();
+                cf.predict.execute_rows(&self.params, encoded, start, rows, &mut bufs);
+                let out =
+                    (sigmoid(cf.predict.output(0, &bufs)), cf.predict.output(1, &bufs).clone());
+                cf.predict_pool.put_back(bufs);
+                out
             },
         );
         let f = self.extractor.num_features();
@@ -432,19 +377,11 @@ impl AdamelModel {
         self.attention_encoded(&encoded)
     }
 
-    /// Attention distributions for pre-encoded pairs. Replays the pruned
-    /// attention plan (classifier skipped) when available, else records a
-    /// tape per chunk; both paths are bit-identical.
+    /// Attention distributions for pre-encoded pairs: replays the pruned
+    /// attention plan (classifier skipped) per chunk, bit-identical to the
+    /// attention rows of [`score`](Self::score).
     pub fn attention_encoded(&self, encoded: &Matrix) -> Matrix {
-        match self.compiled() {
-            Some(cf) => self.attention_plan(cf, encoded),
-            None => self.attention_encoded_tape(encoded),
-        }
-    }
-
-    /// Plan-path attention extraction; see
-    /// [`score_plan`](Self::score_plan) for the bit-identity argument.
-    fn attention_plan(&self, cf: &CompiledForward, encoded: &Matrix) -> Matrix {
+        let cf = self.compiled();
         adamel_obs::trace_span!("attention");
         adamel_obs::trace_count!("attention.rows", encoded.rows() as u64);
         let f = self.extractor.num_features();
@@ -466,12 +403,6 @@ impl AdamelModel {
             },
         );
         out
-    }
-
-    /// Tape-path attention extraction: records a fresh graph per chunk. The
-    /// reference implementation the plan path is bit-compared against.
-    pub fn attention_encoded_tape(&self, encoded: &Matrix) -> Matrix {
-        self.score_tape(encoded).1
     }
 
     /// Deep copies of all parameter tensors, in registration order (for

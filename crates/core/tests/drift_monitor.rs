@@ -102,8 +102,8 @@ fn assert_matches_per_source_recompute(
 #[test]
 fn assess_is_bit_identical_to_a_per_source_recompute() {
     let fx = fixture();
-    // The uniform-attention ablation cannot be compiled into a plan, so it
-    // covers the tape fallback of the single scoring pass.
+    // The uniform-attention ablation covers a second attention head (a
+    // softmax over zero energies) through the single scoring pass.
     let uniform_cfg = AdamelConfig::tiny().with_uniform_attention(true);
     let uniform = AdamelModel::new(uniform_cfg, fx.model.extractor().schema().clone());
     let uniform_monitor = DriftMonitor::new(DriftBaseline::build(&uniform, &fx.train));

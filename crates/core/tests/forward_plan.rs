@@ -1,16 +1,16 @@
 //! The compiled inference plan must be invisible: replaying the tape-free
-//! [`CompiledPlan`] program must produce **bit-identical** scores and
-//! attention distributions to recording a fresh autograd graph per chunk,
-//! at every chunk-boundary batch size, in every feature mode, at every
-//! thread count, and after parameters change. Graphs that cannot be
-//! shape-specialized (the uniform-attention ablation) must fall back to the
-//! tape path silently.
+//! [`CompiledPlan`] program chunk by chunk must produce **bit-identical**
+//! scores and attention distributions to recording one autograd graph over
+//! the whole batch, at every chunk-boundary batch size, in every feature
+//! mode, at every thread count, and after parameters change. The plan is
+//! the only inference path: the uniform-attention ablation replays it too.
 
 use adamel::config::AdamelConfig;
 use adamel::model::AdamelModel;
 use adamel::{fit, Variant};
+use adamel_obs::TraceLevel;
 use adamel_schema::{Domain, EntityPair, FeatureMode, Record, Schema, SourceId};
-use adamel_tensor::parallel;
+use adamel_tensor::{parallel, Graph, Matrix};
 
 fn rec(source: u32, id: u64, name: &str, city: &str) -> Record {
     let mut r = Record::new(SourceId(source), id);
@@ -43,12 +43,21 @@ fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The tape reference: one autograd graph recorded over the whole batch,
+/// read as sigmoid scores and attention rows.
+fn tape(m: &AdamelModel, encoded: &Matrix) -> (Vec<f32>, Matrix) {
+    let mut g = Graph::new();
+    let (attention, logits) = m.forward_graph(&mut g, encoded.clone());
+    let scores = g.value(logits).as_slice().iter().map(|&z| 1.0 / (1.0 + (-z).exp())).collect();
+    (scores, g.value(attention).clone())
+}
+
 /// Asserts plan and tape agree bit-for-bit on both inference surfaces.
 fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
     let encoded = m.encode(&pairs_n(n));
+    let (tape_scores, tape_att) = tape(m, &encoded);
 
     let plan_scores = m.predict_encoded(&encoded);
-    let tape_scores = m.predict_encoded_tape(&encoded);
     assert_eq!(
         bits(&plan_scores),
         bits(&tape_scores),
@@ -56,7 +65,6 @@ fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
     );
 
     let plan_att = m.attention_encoded(&encoded);
-    let tape_att = m.attention_encoded_tape(&encoded);
     assert_eq!(plan_att.shape(), tape_att.shape(), "{label}: attention shape at n = {n}");
     assert_eq!(
         bits(plan_att.as_slice()),
@@ -68,8 +76,7 @@ fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
 #[test]
 fn plan_matches_tape_at_chunk_boundaries() {
     // One below, exactly at, one above, and a multiple of the 512-row chunk
-    // size: the plan path chunks at the same boundaries as the tape path,
-    // so every split point is exercised.
+    // size: every split point of the plan's chunk loop is exercised.
     let m = AdamelModel::new(AdamelConfig::tiny(), schema());
     for n in [511u64, 512, 513, 1024] {
         assert_plan_matches_tape(&m, n, "boundaries");
@@ -104,22 +111,28 @@ fn plan_is_thread_count_invariant() {
 }
 
 #[test]
-fn uniform_attention_falls_back_to_tape() {
-    // The ablation records an `n x F` constant, which the plan compiler must
-    // reject (it cannot be shape-specialized); inference silently stays on
-    // the tape path and still crosses chunk boundaries correctly.
+fn uniform_attention_replays_the_plan() {
+    // The ablation softmaxes a row of zeros, so its graph compiles like the
+    // learned one: every call replays the plan and the attention is exactly
+    // 1/F on both sides of a chunk boundary. Other tests in this binary may
+    // replay concurrently while tracing is forced on; that can only add to
+    // the count, never hide a replay.
     let cfg = AdamelConfig::tiny().with_uniform_attention(true);
     let m = AdamelModel::new(cfg, schema());
-    let encoded = m.encode(&pairs_n(600));
-    let scores = m.predict_encoded(&encoded);
-    assert_eq!(bits(&scores), bits(&m.predict_encoded_tape(&encoded)));
-    let att = m.attention_encoded(&encoded);
-    let f = m.extractor().num_features();
-    for i in 0..att.rows() {
-        for &v in att.row(i) {
-            assert_eq!(v, 1.0 / f as f32, "uniform attention row {i}");
-        }
+    let uniform = 1.0 / m.extractor().num_features() as f32;
+    adamel_obs::set_forced(Some(TraceLevel::Spans));
+    for n in [511u64, 512, 513] {
+        let encoded = m.encode(&pairs_n(n));
+        let before = adamel_obs::counter_value("plan.replays").unwrap_or(0);
+        let (scores, att) = (m.predict_encoded(&encoded), m.attention_encoded(&encoded));
+        let after = adamel_obs::counter_value("plan.replays").unwrap_or(0);
+        assert!(after > before, "n = {n}: the ablation did not replay the plan");
+        assert!(att.as_slice().iter().all(|&v| v == uniform), "n = {n}: attention is not 1/F");
+        let (tape_scores, tape_att) = tape(&m, &encoded);
+        assert_eq!(bits(&scores), bits(&tape_scores), "n = {n}: scores drifted from tape");
+        assert_eq!(bits(att.as_slice()), bits(tape_att.as_slice()), "n = {n}: attention");
     }
+    adamel_obs::set_forced(None);
 }
 
 #[test]
@@ -147,12 +160,14 @@ fn plan_stays_valid_after_training() {
 }
 
 /// Asserts the fused single-pass outputs of [`AdamelModel::score`] equal
-/// every single-output path bit for bit, at 1, 2 and 4 threads.
+/// every single-output path and the tape reference bit for bit, at 1, 2
+/// and 4 threads.
 fn assert_fused_matches_single_outputs(m: &AdamelModel, n: u64, label: &str) {
     let pairs = pairs_n(n);
     let encoded = m.encode(&pairs);
-    let scores = [m.predict_encoded(&encoded), m.predict_encoded_tape(&encoded)];
-    let attention = [m.attention_encoded(&encoded), m.attention_encoded_tape(&encoded)];
+    let (tape_scores, tape_att) = tape(m, &encoded);
+    let scores = [m.predict_encoded(&encoded), tape_scores];
+    let attention = [m.attention_encoded(&encoded), tape_att];
     for t in [1, 2, 4] {
         let scored = parallel::with_threads(t, || m.score(pairs.clone()));
         assert_eq!(scored.len(), pairs.len(), "{label}: pair count at {t} threads");
@@ -174,11 +189,9 @@ fn assert_fused_matches_single_outputs(m: &AdamelModel, n: u64, label: &str) {
 fn fused_score_matches_predict_and_attention_across_chunks_and_threads() {
     // 1100 rows span three 512-row chunks, the last one ragged.
     let m = AdamelModel::new(AdamelConfig::tiny(), schema());
-    assert_fused_matches_single_outputs(&m, 1100, "plan");
-    // The uniform-attention ablation takes the tape fallback, which must
-    // read both outputs from one graph per chunk.
+    assert_fused_matches_single_outputs(&m, 1100, "learned");
     let cfg = AdamelConfig::tiny().with_uniform_attention(true);
-    assert_fused_matches_single_outputs(&AdamelModel::new(cfg, schema()), 1100, "tape");
+    assert_fused_matches_single_outputs(&AdamelModel::new(cfg, schema()), 1100, "uniform");
 }
 
 #[test]

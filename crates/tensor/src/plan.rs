@@ -14,13 +14,14 @@
 //!
 //! Replay calls the exact same `*_into` kernels the tape ops delegate to
 //! ([`Matrix::matmul_into`] and friends), so plan output is **bit-identical**
-//! to the tape path. The one difference is where a blocked product against
-//! a parameter gets its packed `B`: from `ParamSet::packed`, built once per
-//! parameter version, instead of a per-call pack — the same kernel body
-//! either way. The equivalence suite in `adamel` compares the two paths
-//! bit-for-bit across chunk boundaries and feature modes. The runtime
-//! sanitizer hooks ([`crate::sanitize`]) run per replayed step with the same
-//! op provenance as the tape.
+//! to recording the graph. The one difference is where a blocked product
+//! against a parameter gets its packed `B`: from `ParamSet::packed`, built
+//! once per parameter version, instead of a per-call pack — the same kernel
+//! body either way. The equivalence suite in `adamel` compares chunked plan
+//! replay against one recorded forward graph bit-for-bit across chunk
+//! boundaries and feature modes. The runtime sanitizer hooks
+//! ([`crate::sanitize`]) run per replayed step with the same op provenance
+//! as the tape.
 //!
 //! ## Shape specialization
 //!
@@ -28,10 +29,12 @@
 //! while row counts follow the replay input. That only works when no leaf
 //! other than the designated input scales with the batch — so
 //! [`CompiledPlan::compile`] rejects any non-input constant whose row count
-//! matches the probe batch ([`PlanError::ScalingConstant`]; the
-//! uniform-attention ablation materializes exactly such an `n x F` constant,
-//! and callers fall back to the tape path). Loss/reduction ops are recording
-//! -only and likewise rejected when reachable from the requested outputs.
+//! matches the probe batch ([`PlanError::ScalingConstant`]): a frozen copy
+//! would replay at the wrong shape. The AdaMEL forward records no such
+//! constant in any configuration — its uniform-attention ablation softmaxes
+//! zeroed energies rather than baking an `n x F` matrix of `1/F` — so this
+//! is a guard, not a path. Loss/reduction ops are recording-only and
+//! likewise rejected when reachable from the requested outputs.
 
 use crate::gemm;
 use crate::graph::{Graph, Op, Var};
