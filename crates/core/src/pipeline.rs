@@ -101,9 +101,9 @@ impl Linker {
     /// produce **bit-identical** results to the offline pipeline on the
     /// same candidates.
     ///
-    /// Out-of-range candidate indices are skipped (an incremental index can
-    /// momentarily disagree with the snapshot it was probed against);
-    /// `candidates` entries beyond `left.len()` are ignored.
+    /// Out-of-range candidate indices are skipped rather than trusted, since
+    /// `candidates` is input from outside the pipeline; `candidates` entries
+    /// beyond `left.len()` are ignored.
     pub fn score_candidates(
         &self,
         left: &[Record],

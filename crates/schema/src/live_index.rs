@@ -32,14 +32,14 @@ pub struct LiveIndex {
     block_attrs: Vec<String>,
     records: BTreeMap<RecordKey, Record>,
     by_token: BTreeMap<String, BTreeSet<RecordKey>>,
-    /// Monotonic mutation counter; callers cache snapshots against it.
-    generation: u64,
+    /// Running sum of [`record_bytes`](Self::record_bytes) over `records`.
+    bytes: usize,
 }
 
 impl LiveIndex {
     /// An empty index blocking on the word tokens of `block_attrs`.
     pub fn new(block_attrs: Vec<String>) -> Self {
-        Self { block_attrs, records: BTreeMap::new(), by_token: BTreeMap::new(), generation: 0 }
+        Self { block_attrs, records: BTreeMap::new(), by_token: BTreeMap::new(), bytes: 0 }
     }
 
     /// The blocking attributes this index tokenizes.
@@ -62,11 +62,19 @@ impl LiveIndex {
         self.by_token.len()
     }
 
-    /// Monotonic mutation counter: bumped by every upsert/delete that
-    /// changes the index, so callers can cache derived state (snapshots,
-    /// position maps) and invalidate it cheaply.
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// Bytes of the indexed records: the sum of
+    /// [`record_bytes`](Self::record_bytes), kept up to date by every
+    /// upsert and delete in O(record).
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The ledger size of one record held under its key: the `Record` and
+    /// `RecordKey` themselves plus the bytes of its attribute names and
+    /// values. Token postings are not counted.
+    pub fn record_bytes(record: &Record) -> usize {
+        let attrs: usize = record.values.iter().map(|(k, v)| k.len() + v.len()).sum();
+        attrs + std::mem::size_of::<Record>() + std::mem::size_of::<RecordKey>()
     }
 
     /// Distinct blocking tokens of one record, in first-seen order
@@ -103,6 +111,7 @@ impl LiveIndex {
         let key = (record.source, record.entity_id);
         let replaced = if let Some(old) = self.records.remove(&key) {
             self.unindex(key, &old);
+            self.bytes -= Self::record_bytes(&old);
             true
         } else {
             false
@@ -110,8 +119,8 @@ impl LiveIndex {
         for t in self.tokens_of(&record) {
             self.by_token.entry(t).or_default().insert(key);
         }
+        self.bytes += Self::record_bytes(&record);
         self.records.insert(key, record);
-        self.generation += 1;
         replaced
     }
 
@@ -122,7 +131,7 @@ impl LiveIndex {
         match self.records.remove(&key) {
             Some(old) => {
                 self.unindex(key, &old);
-                self.generation += 1;
+                self.bytes -= Self::record_bytes(&old);
                 true
             }
             None => false,
@@ -206,17 +215,23 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_mutations() {
+    fn bytes_follow_insert_replace_and_delete() {
+        let fixed = LiveIndex::record_bytes(&Record::new(SourceId(0), 0));
+        let title = "title".len();
         let mut li = LiveIndex::new(vec!["title".into()]);
-        let g0 = li.generation();
-        li.upsert(rec(0, 1, "a"));
-        assert!(li.generation() > g0);
-        let g1 = li.generation();
+        assert_eq!(li.bytes(), 0);
+        li.upsert(rec(0, 1, "abc"));
+        li.upsert(rec(0, 2, "de"));
+        assert_eq!(li.bytes(), 2 * (fixed + title) + 5);
+        li.upsert(rec(0, 1, "abcdefg")); // replace: the old value's bytes leave
+        assert_eq!(li.bytes(), 2 * (fixed + title) + 9);
+        assert!(li.delete(SourceId(0), 2));
+        assert!(!li.delete(SourceId(0), 2)); // miss: no change
+        assert_eq!(li.bytes(), fixed + title + 7);
+        let sum: usize = li.snapshot().iter().map(LiveIndex::record_bytes).sum();
+        assert_eq!(li.bytes(), sum);
         li.delete(SourceId(0), 1);
-        assert!(li.generation() > g1);
-        let g2 = li.generation();
-        li.delete(SourceId(0), 1); // miss: no change
-        assert_eq!(li.generation(), g2);
+        assert_eq!(li.bytes(), 0);
     }
 
     #[test]

@@ -169,6 +169,35 @@ fn expect_200(step: &str, got: Result<(u16, String), String>) -> Result<String, 
     }
 }
 
+/// One `/link` exchange: the `(entity_id, score_bits)` of every match line,
+/// in response order, and the summary object.
+fn link(
+    addr: std::net::SocketAddr,
+    step: &str,
+    queries: &str,
+) -> Result<(Vec<(u64, String)>, adamel_obs::json::Json), String> {
+    use adamel_obs::json::Json;
+    let body = expect_200(step, request(addr, "POST", "/link", queries))?;
+    let mut matches = Vec::new();
+    let mut summary = None;
+    for line in body.lines() {
+        let v =
+            Json::parse(line).map_err(|e| format!("{step}: invalid JSON line {line:?}: {e}"))?;
+        if let Some(s) = v.get("summary") {
+            summary = Some(s.clone());
+            continue;
+        }
+        let entity_id = v.get("entity_id").and_then(Json::as_u64);
+        let bits = v.get("score_bits").and_then(Json::as_str);
+        match (entity_id, bits) {
+            (Some(id), Some(bits)) => matches.push((id, bits.to_string())),
+            _ => return Err(format!("{step}: malformed match line {line:?}")),
+        }
+    }
+    let summary = summary.ok_or_else(|| format!("{step}: no summary line in {body:?}"))?;
+    Ok((matches, summary))
+}
+
 /// Schema/shape check on the final `/metrics` document. A malformed or
 /// structurally empty document fails the selftest (and with it serve CI)
 /// even though the HTTP exchange itself succeeded.
@@ -238,18 +267,32 @@ fn run_selftest(metrics_out: Option<&str>) -> Result<(), String> {
     }
 
     let queries = "{\"source\": 9, \"entity_id\": 1, \"values\": {\"name\": \"alpha beta\"}}\n";
-    let body = expect_200("link", request(addr, "POST", "/link", queries))?;
-    if !body.lines().any(|l| l.contains("\"score_bits\"")) {
-        return Err(format!("link: no matches in {body:?}"));
+    let (matches, summary) = link(addr, "link", queries)?;
+    if !matches.iter().any(|(entity_id, _)| *entity_id == 10) {
+        return Err(format!("link: entity 10 not among the matches {matches:?}"));
     }
-    let summary = body
-        .lines()
-        .find(|l| l.contains("\"summary\""))
-        .ok_or_else(|| format!("link: no summary line in {body:?}"))?;
-    let summary = adamel_obs::json::Json::parse(summary)
-        .map_err(|e| format!("link: summary is not valid JSON: {e}"))?;
-    if summary.get("summary").and_then(|s| s.get("trace_id")).and_then(|t| t.as_u64()).is_none() {
+    if summary.get("trace_id").and_then(|t| t.as_u64()).is_none() {
         return Err("link: summary carries no trace_id".to_string());
+    }
+
+    // A write between links: the next link must see the corpus as written.
+    let matched = "{\"source\": 1, \"entity_id\": 10}\n";
+    let body = expect_200("delete", request(addr, "DELETE", "/records", matched))?;
+    if !body.contains("\"removed\": 1") {
+        return Err(format!("delete: unexpected body {body:?}"));
+    }
+    let (after_delete, summary) = link(addr, "link after delete", queries)?;
+    if summary.get("corpus_records").and_then(|n| n.as_u64()) != Some(2) {
+        return Err(format!("link after delete: corpus_records is not 2 in {summary:?}"));
+    }
+    if after_delete.iter().any(|(entity_id, _)| *entity_id == 10) {
+        return Err(format!("link after delete: deleted entity 10 matched in {after_delete:?}"));
+    }
+    let record = corpus.lines().next().unwrap_or_default();
+    expect_200("re-upsert", request(addr, "POST", "/records", record))?;
+    let (relinked, _) = link(addr, "link after re-upsert", queries)?;
+    if relinked != matches {
+        return Err(format!("link after re-upsert: {relinked:?} differs from {matches:?}"));
     }
 
     let health = expect_200("healthz", request(addr, "GET", "/healthz", ""))?;

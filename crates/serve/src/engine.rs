@@ -4,15 +4,20 @@
 //! ## Bit-identity with the offline pipeline
 //!
 //! [`Engine::link`] probes the incremental
-//! [`adamel_schema::LiveIndex`] for candidates and routes them
-//! through [`Linker::score_candidates`](adamel::Linker::score_candidates) —
-//! the literal second half of `Linker::link`. `LiveIndex` ranks candidates
+//! [`adamel_schema::LiveIndex`] for candidates, copies each distinct
+//! candidate record out of the index into a batch-local right-hand side,
+//! and routes the batch through
+//! [`Linker::score_candidates`](adamel::Linker::score_candidates) — the
+//! literal second half of `Linker::link`. `LiveIndex` ranks candidates
 //! `(shared-token count desc, key asc)`, which over the key-ordered corpus
-//! snapshot coincides with the batch `BlockingIndex` ranking
-//! `(count desc, position asc)`; the candidate sets therefore agree, and
-//! downstream both paths run the same code. A served batch is bit-identical
-//! to `Linker::link(queries, &corpus_snapshot)` — asserted end to end in
-//! `tests/end_to_end.rs`.
+//! coincides with the batch `BlockingIndex` ranking `(count desc, position
+//! asc)`; the candidate lists therefore agree pair for pair. The
+//! batch-local indices differ from corpus positions, but pair order, score
+//! ties and the one-to-one reduction depend only on which pairs share a
+//! record, and deduplicating by key preserves exactly that. A served batch
+//! is bit-identical to `Linker::link(queries, &key_ordered_corpus)` —
+//! asserted end to end in `tests/end_to_end.rs` and under churn in
+//! `tests/churn.rs`.
 //!
 //! ## Hot-swap atomicity
 //!
@@ -39,7 +44,7 @@ use adamel::{AdamelModel, DriftBaseline, DriftMonitor, DriftThresholds, Linker, 
 use adamel_obs::json;
 use adamel_schema::{LiveIndex, Record, RecordKey, SourceId};
 use adamel_tensor::parallel;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -101,20 +106,8 @@ pub struct LinkOutcome {
     pub matches: Vec<LinkMatch>,
     /// Candidate pairs generated by blocking.
     pub candidates: usize,
-    /// Records currently in the corpus snapshot that was scored against.
+    /// Records in the corpus when the batch's candidates were copied out.
     pub corpus_records: usize,
-}
-
-/// A key-ordered, immutable view of the corpus, shared by in-flight
-/// requests via `Arc` and invalidated on any index mutation.
-struct Snapshot {
-    records: Vec<Record>,
-    keys: Vec<RecordKey>,
-}
-
-struct Corpus {
-    index: LiveIndex,
-    snapshot: Option<Arc<Snapshot>>,
 }
 
 struct DriftState {
@@ -148,7 +141,7 @@ struct Counters {
 pub struct Engine {
     linker: RwLock<Arc<Linker>>,
     model_version: AtomicU64,
-    corpus: Mutex<Corpus>,
+    corpus: Mutex<LiveIndex>,
     drift: Option<Mutex<DriftState>>,
     readapt: AtomicBool,
     compute_threads: usize,
@@ -164,6 +157,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// Publishes the corpus size to the memory ledger after a write.
+fn observe_corpus(index: &LiveIndex) {
+    adamel_obs::mem::observe("schema.live_index.bytes", index.bytes() as u64);
 }
 
 impl Engine {
@@ -191,7 +189,7 @@ impl Engine {
         Self {
             linker: RwLock::new(Arc::new(linker)),
             model_version: AtomicU64::new(1),
-            corpus: Mutex::new(Corpus { index, snapshot: None }),
+            corpus: Mutex::new(index),
             drift,
             readapt: AtomicBool::new(false),
             compute_threads: cfg.compute_threads,
@@ -220,13 +218,13 @@ impl Engine {
         let mut corpus = lock(&self.corpus);
         let (mut inserted, mut replaced) = (0usize, 0usize);
         for rec in records {
-            if corpus.index.upsert(rec) {
+            if corpus.upsert(rec) {
                 replaced += 1;
             } else {
                 inserted += 1;
             }
         }
-        corpus.snapshot = None;
+        observe_corpus(&corpus);
         drop(corpus);
         self.counters.upserts.fetch_add((inserted + replaced) as u64, Ordering::Relaxed);
         (inserted, replaced)
@@ -235,8 +233,8 @@ impl Engine {
     /// Deletes records by key; returns how many existed.
     pub fn delete(&self, keys: &[RecordKey]) -> usize {
         let mut corpus = lock(&self.corpus);
-        let removed = keys.iter().filter(|(s, id)| corpus.index.delete(*s, *id)).count();
-        corpus.snapshot = None;
+        let removed = keys.iter().filter(|(s, id)| corpus.delete(*s, *id)).count();
+        observe_corpus(&corpus);
         drop(corpus);
         self.counters.deletes.fetch_add(removed as u64, Ordering::Relaxed);
         removed
@@ -244,71 +242,62 @@ impl Engine {
 
     /// Records currently in the corpus.
     pub fn corpus_len(&self) -> usize {
-        lock(&self.corpus).index.len()
+        lock(&self.corpus).len()
     }
 
-    /// Blocks and scores `queries` against the current corpus snapshot.
+    /// Blocks and scores `queries` against the current corpus.
     ///
-    /// Candidate generation happens under the corpus lock (cheap index
-    /// probes); scoring happens outside every lock, against `Arc` clones
-    /// of the snapshot and the linker, so upserts, deletes, and model
-    /// swaps proceed concurrently without affecting this batch.
+    /// Under the corpus lock the batch probes the index and copies each
+    /// distinct candidate record out of it — O(batch), whatever the corpus
+    /// size. Scoring happens outside every lock, on those copies and an
+    /// `Arc` clone of the linker, so upserts, deletes, and model swaps
+    /// proceed concurrently without affecting this batch.
     pub fn link(&self, queries: &[Record]) -> LinkOutcome {
-        let mut corpus = lock(&self.corpus);
-        let snapshot = match &corpus.snapshot {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(Snapshot {
-                    records: corpus.index.snapshot(),
-                    keys: corpus.index.keys(),
-                });
-                if adamel_obs::enabled() {
-                    let attrs: usize = s
-                        .records
-                        .iter()
-                        .flat_map(|r| r.values.iter())
-                        .map(|(k, v)| k.len() + v.len())
-                        .sum();
-                    let bytes = attrs
-                        + s.records.len() * std::mem::size_of::<Record>()
-                        + s.keys.len() * std::mem::size_of::<RecordKey>();
-                    adamel_obs::mem::observe("schema.live_index.snapshot.bytes", bytes as u64);
-                }
-                corpus.snapshot = Some(Arc::clone(&s));
-                s
-            }
-        };
         let linker = self.current_linker();
         let limit = linker.config().max_candidates_per_record;
-        // Key → snapshot position: `keys` is ascending (BTreeMap order), so
-        // candidates translate by binary search — no indexing, no panics.
-        let positions: Vec<Vec<usize>> = queries
-            .iter()
-            .map(|q| {
-                corpus
-                    .index
-                    .candidates(q, limit)
-                    .into_iter()
-                    .filter_map(|key| snapshot.keys.binary_search(&key).ok())
-                    .collect()
-            })
-            .collect();
+        // `local` maps a key to its record's index in `right`, so a record
+        // two queries share is copied (and indexed) once.
+        let mut right: Vec<Record> = Vec::new();
+        let mut local: BTreeMap<RecordKey, usize> = BTreeMap::new();
+        let corpus = lock(&self.corpus);
+        let mut positions: Vec<Vec<usize>> = Vec::with_capacity(queries.len());
+        for q in queries {
+            let mut cands = Vec::new();
+            for key in corpus.candidates(q, limit) {
+                if let Some(&i) = local.get(&key) {
+                    cands.push(i);
+                } else if let Some(rec) = corpus.get(key.0, key.1) {
+                    local.insert(key, right.len());
+                    cands.push(right.len());
+                    right.push(rec.clone());
+                }
+            }
+            positions.push(cands);
+        }
+        let corpus_records = corpus.len();
         drop(corpus);
+        // Record bytes this link copied out of the index, under the gauge
+        // name the ledger's readers (perfbench, dashboards) already use.
+        if adamel_obs::enabled() {
+            let bytes: usize = right.iter().map(LiveIndex::record_bytes).sum();
+            adamel_obs::mem::observe("schema.live_index.snapshot.bytes", bytes as u64);
+        }
 
         let candidates: usize = positions.iter().map(Vec::len).sum();
         let (results, scored) = if self.compute_threads > 0 {
             parallel::with_threads(self.compute_threads, || {
-                linker.score_batch(queries, &snapshot.records, &positions)
+                linker.score_batch(queries, &right, &positions)
             })
         } else {
-            linker.score_batch(queries, &snapshot.records, &positions)
+            linker.score_batch(queries, &right, &positions)
         };
 
         let matches: Vec<LinkMatch> = results
             .into_iter()
             .filter_map(|m| {
-                let (SourceId(source), entity_id) = *snapshot.keys.get(m.right)?;
-                Some(LinkMatch { query: m.left, source, entity_id, score: m.score })
+                let r = right.get(m.right)?;
+                let SourceId(source) = r.source;
+                Some(LinkMatch { query: m.left, source, entity_id: r.entity_id, score: m.score })
             })
             .collect();
 
@@ -318,7 +307,7 @@ impl Engine {
 
         self.observe_drift(queries, &scored, &linker);
 
-        LinkOutcome { matches, candidates, corpus_records: snapshot.records.len() }
+        LinkOutcome { matches, candidates, corpus_records }
     }
 
     /// Drift bookkeeping for one served batch. `scored` is the batch's
@@ -556,7 +545,7 @@ mod tests {
         let linker = trained_linker();
         let offline = trained_linker();
         let engine = Engine::new(linker, EngineConfig::default());
-        // Upsert in key order so the snapshot equals this vec verbatim.
+        // Upsert in key order so the corpus equals this vec verbatim.
         engine.upsert(corpus());
         let queries = vec![rec(9, 1, "alpha beta"), rec(9, 2, "gamma delta")];
 
