@@ -1,8 +1,10 @@
 //! Blocked-GEMM kernel battery: the cache-blocked microkernels behind the
 //! matmul family, differentially tested against the `f64` oracle at
 //! adversarial shapes — 1×1, prime dims, every tile edge ±1, tall-skinny,
-//! short-fat — crossed with 1/2/4/8 worker threads, plus bit-for-bit
-//! thread-count invariance for every variant at every shape.
+//! short-fat, short-wide — crossed with 1/2/4/8 worker threads, plus
+//! bit-for-bit thread-count invariance for every variant at every shape.
+//! Short-wide products (fewer than `MC` rows, at least `2·MC` columns) run
+//! transposed, so the naive-bits check pins that path too.
 //!
 //! The same battery pins the two other ways into the kernels: a right
 //! operand packed once ([`PackedB`], what compiled-plan replays use for
@@ -17,7 +19,7 @@
 //! fallback covering cancellation.
 
 use adamel_oracle::{op_ulps, Budget, RefMatrix, EPS32};
-use adamel_tensor::gemm::{use_blocked, PackedB, KC, MC, MR, NR};
+use adamel_tensor::gemm::{use_blocked, use_transposed, PackedB, KC, MC, MR, NR};
 use adamel_tensor::parallel::with_threads;
 use adamel_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -27,7 +29,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// Covers: degenerate 1×1, prime dims, the microkernel register tile
 /// (`MR`/`NR`) and cache tiles (`KC`/`MC`) at exactly/-1/+1, tall-skinny,
-/// and short-fat — on both sides of the blocked-dispatch threshold.
+/// short-fat and short-wide — on both sides of the blocked-dispatch
+/// threshold and of the transposed-dispatch predicate.
 fn shapes() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -49,6 +52,14 @@ fn shapes() -> Vec<(usize, usize, usize)> {
         (2, KC + 1, NR * 4 + 3),
         // Comfortably blocked.
         (64, 96, 33),
+        // Short-wide: fewer than MC rows and at least two MC-row blocks of
+        // width, run transposed (`Cᵀ = Bᵀ·Aᵀ`) so the wide side splits. The
+        // training classifier's forward and its `dZ = G·W1ᵀ`, one register
+        // tile of rows over a two-slab `k`, and one row short of a block.
+        (16, 4608, 256),
+        (16, 256, 4608),
+        (MR, KC + 1, 2 * MC + 3),
+        (MC - 1, 33, 2 * MC),
     ]
 }
 
@@ -155,6 +166,22 @@ fn adversarial_shapes_cover_both_dispatch_paths() {
 }
 
 #[test]
+fn short_wide_shapes_take_the_transposed_dispatch() {
+    // The short-wide group must reach the transposed path (and the rest of
+    // the battery the untransposed one), so a tile-size change that moves
+    // the predicate cannot silently drop its coverage.
+    let shapes = shapes();
+    let (rest, short_wide) = shapes.split_at(16);
+    for &(n, k, m) in short_wide {
+        assert!(use_transposed(n, k, m), "({n},{k},{m}) no longer runs transposed");
+    }
+    assert!(
+        rest.iter().any(|&(n, k, m)| use_blocked(n, k, m) && !use_transposed(n, k, m)),
+        "no shape reaches the untransposed blocked kernel"
+    );
+}
+
+#[test]
 fn degenerate_and_prime_shapes() {
     for &(n, k, m) in &shapes()[..3] {
         check_shape(n, k, m);
@@ -184,7 +211,14 @@ fn tall_skinny_and_short_fat() {
 
 #[test]
 fn comfortably_blocked() {
-    for &(n, k, m) in &shapes()[15..] {
+    for &(n, k, m) in &shapes()[15..16] {
+        check_shape(n, k, m);
+    }
+}
+
+#[test]
+fn short_wide_transposed() {
+    for &(n, k, m) in &shapes()[16..] {
         check_shape(n, k, m);
     }
 }

@@ -35,6 +35,17 @@
 //!   count. Packed-`A` scratch lives in a per-thread arena
 //!   (`thread_local!` take/restore, no locks); the packed `B` panel is built
 //!   once on the dispatching thread and shared read-only.
+//! * **Short-wide products run transposed.** Fewer than [`MC`] rows is a
+//!   single block, so a 16-row training batch times a wide weight would run
+//!   on one worker however wide it is. When [`use_transposed`] holds, the
+//!   per-call `gemm` computes `Cᵀ = Bᵀ·Aᵀ` instead — swapping an
+//!   operand's strides transposes it — so the wide side is row-blocked
+//!   across workers, the big operand is packed per worker as `A` panels
+//!   rather than serially as one `B` pack, and the `n x m` result is
+//!   transposed back. The bits are unchanged: each element still has one
+//!   accumulator over ascending `k`, zero-initialised on the first slab,
+//!   and `b·a == a·b` exactly in IEEE arithmetic. `gemm_prepacked` never
+//!   transposes: its `B` is already packed.
 //!
 //! **Bit-exactness contract.** Every output element is accumulated by a
 //! *single* accumulator in strictly ascending `k` order: the microkernel
@@ -86,6 +97,19 @@ pub fn use_blocked(n: usize, k: usize, m: usize) -> bool {
     n >= MR && m >= NR && 2usize.saturating_mul(n * k).saturating_mul(m) >= BLOCKED_MIN_FLOPS
 }
 
+/// True when a blocked `(n,k) x (k,m)` product is short and wide enough to
+/// run transposed, as `Cᵀ = Bᵀ · Aᵀ`.
+///
+/// Thread partitioning splits `C` into [`MC`]-row blocks, so a product with
+/// fewer than [`MC`] rows is one block and runs on one worker however wide
+/// it is — the training batch's classifier `(16 x F·H')·(F·H' x H_hidden)`
+/// and its `G·W1ᵀ` backward. Transposed, the wide side becomes the row
+/// side and splits into at least two blocks.
+#[inline]
+pub fn use_transposed(n: usize, k: usize, m: usize) -> bool {
+    use_blocked(n, k, m) && n < MC && m >= 2 * MC
+}
+
 /// A logical `rows x cols` view over a row-major backing slice: element
 /// `(i, j)` lives at `data[i * rs + j * cs]`. Transposed operands are
 /// expressed by swapping the strides; only packing ever reads through them.
@@ -108,6 +132,8 @@ thread_local! {
     static PACK_A: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-thread packed-`B` arena for the dispatching thread.
     static PACK_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// Per-thread `Cᵀ` arena for the dispatching thread's transposed runs.
+    static TRANSPOSED_C: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// A right operand packed once into the [`NR`]-lane column panels the
@@ -161,7 +187,8 @@ fn degenerate(k: usize, out: &mut [f32]) -> bool {
 
 /// Computes `out = A · B` for logical `(n,k) x (k,m)` operands, fully
 /// overwriting the row-major `out` (length `n * m`). `B` is packed per call
-/// into the dispatching thread's arena.
+/// into the dispatching thread's arena; a [short-wide](use_transposed)
+/// product runs as `Cᵀ = Bᵀ · Aᵀ` and is transposed back.
 pub(crate) fn gemm(
     n: usize,
     k: usize,
@@ -174,6 +201,29 @@ pub(crate) fn gemm(
     if degenerate(k, out) {
         return;
     }
+    if use_transposed(n, k, m) {
+        // Swapping an operand's strides transposes it; `Bᵀ` is packed per
+        // worker as `A` panels and the small `Aᵀ` once as the `B` pack.
+        let bt = Operand { data: b.data, rs: b.cs, cs: b.rs };
+        let at = Operand { data: a.data, rs: a.cs, cs: a.rs };
+        let mut ct = TRANSPOSED_C.with(Cell::take);
+        ct.clear();
+        ct.resize(m * n, 0.0);
+        adamel_obs::mem::observe("tensor.gemm.transposed_c.bytes", (ct.capacity() * 4) as u64);
+        gemm_packed(k, n, &bt, &at, &mut ct);
+        for (i, row) in out.chunks_exact_mut(m).enumerate() {
+            for (o, &v) in row.iter_mut().zip(ct.iter().skip(i).step_by(n)) {
+                *o = v;
+            }
+        }
+        TRANSPOSED_C.with(|c| c.set(ct));
+        return;
+    }
+    gemm_packed(k, m, a, b, out);
+}
+
+/// The per-call-pack body of [`gemm`], in the orientation it was given.
+fn gemm_packed(k: usize, m: usize, a: &Operand<'_>, b: &Operand<'_>, out: &mut [f32]) {
     // Pack B once, on the dispatching thread; workers share it read-only.
     let mut bbuf = PACK_B.with(Cell::take);
     pack_b(k, m, b, &mut bbuf);
@@ -499,6 +549,39 @@ mod tests {
                 assert_eq!(prepacked.as_slice(), reference.as_slice(), "{what}: vs naive");
             }
         }
+    }
+
+    #[test]
+    fn short_wide_runs_transposed_with_the_naive_bits_at_every_thread_count() {
+        // Each variant's operand layout, transposed again by the swap: the
+        // plain product, `Aᵀ·B` and `A·Bᵀ` strides.
+        for &(n, k, m) in
+            &[(16, 4608, 256), (16, 256, 4608), (MR, KC + 1, 2 * MC + 3), (MC - 1, 33, 2 * MC)]
+        {
+            assert!(use_transposed(n, k, m), "({n},{k},{m}) must take the transposed path");
+            let a = fill(n, k, (n * 13 + k) as u64);
+            let b = fill(k, m, (k * 13 + m) as u64);
+            let (at, bt) = (a.transpose(), b.transpose());
+            let reference = naive(&a, &b);
+            let layouts = [
+                (plain(&a), plain(&b)),
+                (Operand { data: at.as_slice(), rs: 1, cs: n }, plain(&b)),
+                (plain(&a), Operand { data: bt.as_slice(), rs: 1, cs: k }),
+            ];
+            for (v, (la, lb)) in layouts.iter().enumerate() {
+                for threads in [1, 2, 4, 8] {
+                    let mut out = vec![f32::NAN; n * m];
+                    with_threads(threads, || gemm(n, k, m, la, lb, &mut out));
+                    assert_eq!(
+                        out.as_slice(),
+                        reference.as_slice(),
+                        "layout {v} shape ({n},{k},{m}) @{threads}t"
+                    );
+                }
+            }
+        }
+        assert!(!use_transposed(MC, 8, 4 * MC), "MC rows already split into blocks");
+        assert!(!use_transposed(MC - 1, 8, 2 * MC - 1), "one block of width is not wide");
     }
 
     #[test]

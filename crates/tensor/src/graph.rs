@@ -8,7 +8,7 @@
 //! step, which keeps the tape simple and makes gradient accumulation
 //! explicit.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, CHEAP_MAP_FLOPS, SIGMOID_FLOPS, TANH_FLOPS};
 use crate::params::{ParamId, ParamSet};
 use crate::sanitize;
 
@@ -90,6 +90,29 @@ impl Op {
             Op::SumAll(_) => "sum_all",
             Op::WeightedBceWithLogits { .. } => "weighted_bce_with_logits",
             Op::KlConstRows { .. } => "kl_const_rows",
+        }
+    }
+
+    /// The tape nodes this op reads, in operand order.
+    pub(crate) fn inputs(&self) -> Vec<Var> {
+        match self {
+            Op::Constant | Op::Param(_) => Vec::new(),
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::Mul(a, b)
+            | Op::MulColBroadcast(a, b) => vec![*a, *b],
+            Op::Scale(a, _)
+            | Op::Relu(a)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::SoftmaxRows(a)
+            | Op::MeanAll(a)
+            | Op::SumAll(a)
+            | Op::SliceCols { input: a, .. }
+            | Op::WeightedBceWithLogits { logits: a, .. }
+            | Op::KlConstRows { probs: a, .. } => vec![*a],
+            Op::ConcatCols(parts) => parts.clone(),
         }
     }
 }
@@ -216,21 +239,21 @@ impl Graph {
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
         adamel_obs::trace_op!("relu");
-        let value = self.nodes[a.0].value.map(|v| v.max(0.0));
+        let value = self.nodes[a.0].value.map(|v| v.max(0.0), CHEAP_MAP_FLOPS);
         self.push(value, Op::Relu(a))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
         adamel_obs::trace_op!("tanh");
-        let value = self.nodes[a.0].value.map(f32::tanh);
+        let value = self.nodes[a.0].value.map(f32::tanh, TANH_FLOPS);
         self.push(value, Op::Tanh(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         adamel_obs::trace_op!("sigmoid");
-        let value = self.nodes[a.0].value.map(|v| 1.0 / (1.0 + (-v).exp()));
+        let value = self.nodes[a.0].value.map(|v| 1.0 / (1.0 + (-v).exp()), SIGMOID_FLOPS);
         self.push(value, Op::Sigmoid(a))
     }
 
@@ -344,6 +367,14 @@ impl Graph {
     /// Runs reverse-mode differentiation from the scalar node `root`,
     /// accumulating parameter gradients into `params`.
     ///
+    /// Only gradients some parameter reads are computed: a node needs a
+    /// gradient iff it is a `Param` or one of its inputs needs one, and both
+    /// masked-off nodes and every operand VJP aimed at one are skipped, so a
+    /// constant input's `G·Wᵀ` products and `slice_cols` scatters are never
+    /// formed. A gradient that reaches a parameter is computed by the same
+    /// ops and accumulated in the same order as by an unmasked pass, so
+    /// parameter gradients do not depend on the mask.
+    ///
     /// The tape is consumed conceptually (gradients of interior nodes are
     /// dropped afterwards); call once per constructed graph.
     pub fn backward(&self, root: Var, params: &mut ParamSet) {
@@ -353,65 +384,80 @@ impl Graph {
             (1, 1),
             "backward requires a scalar (1x1) root"
         );
-        let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[root.0] = Some(Matrix::scalar(1.0));
+        let mut grads = Grads::new(&self.nodes[..=root.0]);
+        grads.add(root, Matrix::scalar(1.0));
 
         for idx in (0..=root.0).rev() {
-            let Some(grad) = grads[idx].take() else { continue };
+            let Some(grad) = grads.take(idx) else { continue };
             match &self.nodes[idx].op {
                 Op::Constant => {}
                 Op::Param(id) => params.grad_mut(*id).add_assign(&grad),
                 Op::MatMul(a, b) => {
                     // dL/dA = G Bᵀ ; dL/dB = Aᵀ G
-                    let ga = grad.matmul_nt(&self.nodes[b.0].value);
-                    let gb = self.nodes[a.0].value.matmul_tn(&grad);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if grads.wants(*a) {
+                        grads.add(*a, grad.matmul_nt(&self.nodes[b.0].value));
+                    }
+                    if grads.wants(*b) {
+                        grads.add(*b, self.nodes[a.0].value.matmul_tn(&grad));
+                    }
                 }
-                Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, grad.clone());
-                    accumulate(&mut grads, *b, grad);
-                }
+                Op::Add(a, b) => match (grads.wants(*a), grads.wants(*b)) {
+                    (true, true) => {
+                        grads.add(*a, grad.clone());
+                        grads.add(*b, grad);
+                    }
+                    (true, false) => grads.add(*a, grad),
+                    (false, _) => grads.add(*b, grad),
+                },
                 Op::AddRowBroadcast(a, bias) => {
                     // Bias gradient is the column sum of the upstream grad.
-                    let mut gb = Matrix::zeros(1, grad.cols());
-                    for i in 0..grad.rows() {
-                        for j in 0..grad.cols() {
-                            gb.set(0, j, gb.get(0, j) + grad.get(i, j));
+                    let gb = grads.wants(*bias).then(|| {
+                        let mut gb = Matrix::zeros(1, grad.cols());
+                        for i in 0..grad.rows() {
+                            for j in 0..grad.cols() {
+                                gb.set(0, j, gb.get(0, j) + grad.get(i, j));
+                            }
                         }
+                        gb
+                    });
+                    grads.add(*a, grad);
+                    if let Some(gb) = gb {
+                        grads.add(*bias, gb);
                     }
-                    accumulate(&mut grads, *a, grad);
-                    accumulate(&mut grads, *bias, gb);
                 }
                 Op::Mul(a, b) => {
-                    let ga = grad.mul(&self.nodes[b.0].value);
-                    let gb = grad.mul(&self.nodes[a.0].value);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if grads.wants(*a) {
+                        grads.add(*a, grad.mul(&self.nodes[b.0].value));
+                    }
+                    if grads.wants(*b) {
+                        grads.add(*b, grad.mul(&self.nodes[a.0].value));
+                    }
                 }
                 Op::MulColBroadcast(a, col) => {
-                    let aval = &self.nodes[a.0].value;
-                    let cval = &self.nodes[col.0].value;
-                    let ga = grad.mul_col_broadcast(cval);
-                    // d/dcol_i = Σ_j grad_ij * a_ij
-                    let gc = grad.mul(aval).sum_cols();
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *col, gc);
+                    if grads.wants(*a) {
+                        grads.add(*a, grad.mul_col_broadcast(&self.nodes[col.0].value));
+                    }
+                    if grads.wants(*col) {
+                        // d/dcol_i = Σ_j grad_ij * a_ij
+                        grads.add(*col, grad.mul(&self.nodes[a.0].value).sum_cols());
+                    }
                 }
-                Op::Scale(a, s) => accumulate(&mut grads, *a, grad.scale(*s)),
+                Op::Scale(a, s) => grads.add(*a, grad.scale(*s)),
                 Op::Relu(a) => {
-                    let mask = self.nodes[a.0].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    accumulate(&mut grads, *a, grad.mul(&mask));
+                    let mask = self.nodes[a.0]
+                        .value
+                        .map(|v| if v > 0.0 { 1.0 } else { 0.0 }, CHEAP_MAP_FLOPS);
+                    grads.add(*a, grad.mul(&mask));
                 }
                 Op::Tanh(a) => {
                     let y = &self.nodes[idx].value;
-                    let deriv = y.map(|t| 1.0 - t * t);
-                    accumulate(&mut grads, *a, grad.mul(&deriv));
+                    let deriv = y.map(|t| 1.0 - t * t, CHEAP_MAP_FLOPS);
+                    grads.add(*a, grad.mul(&deriv));
                 }
                 Op::Sigmoid(a) => {
                     let y = &self.nodes[idx].value;
-                    let deriv = y.map(|s| s * (1.0 - s));
-                    accumulate(&mut grads, *a, grad.mul(&deriv));
+                    let deriv = y.map(|s| s * (1.0 - s), CHEAP_MAP_FLOPS);
+                    grads.add(*a, grad.mul(&deriv));
                 }
                 Op::SoftmaxRows(a) => {
                     // dL/dz_ij = p_ij * (g_ij - Σ_k g_ik p_ik)
@@ -423,7 +469,7 @@ impl Graph {
                             gz.set(i, j, p.get(i, j) * (grad.get(i, j) - dot));
                         }
                     }
-                    accumulate(&mut grads, *a, gz);
+                    grads.add(*a, gz);
                 }
                 Op::SliceCols { input, start, width } => {
                     let v = &self.nodes[input.0].value;
@@ -433,25 +479,26 @@ impl Graph {
                             gi.set(i, start + j, grad.get(i, j));
                         }
                     }
-                    accumulate(&mut grads, *input, gi);
+                    grads.add(*input, gi);
                 }
                 Op::ConcatCols(parts) => {
                     let mut offset = 0;
                     for part in parts {
                         let width = self.nodes[part.0].value.cols();
-                        let gp = grad.slice_cols(offset, width);
-                        accumulate(&mut grads, *part, gp);
+                        if grads.wants(*part) {
+                            grads.add(*part, grad.slice_cols(offset, width));
+                        }
                         offset += width;
                     }
                 }
                 Op::MeanAll(a) => {
                     let v = &self.nodes[a.0].value;
                     let g = grad.item() / v.len().max(1) as f32;
-                    accumulate(&mut grads, *a, Matrix::full(v.rows(), v.cols(), g));
+                    grads.add(*a, Matrix::full(v.rows(), v.cols(), g));
                 }
                 Op::SumAll(a) => {
                     let v = &self.nodes[a.0].value;
-                    accumulate(&mut grads, *a, Matrix::full(v.rows(), v.cols(), grad.item()));
+                    grads.add(*a, Matrix::full(v.rows(), v.cols(), grad.item()));
                 }
                 Op::WeightedBceWithLogits { logits, targets, weights } => {
                     // d/dz of mean_i w_i * bce = w_i (sigmoid(z_i) - y_i) / n
@@ -463,7 +510,7 @@ impl Graph {
                         let s = 1.0 / (1.0 + (-z.get(i, 0)).exp());
                         gz.set(i, 0, g * weights.get(i, 0) * (s - targets.get(i, 0)) / n);
                     }
-                    accumulate(&mut grads, *logits, gz);
+                    grads.add(*logits, gz);
                 }
                 Op::KlConstRows { probs, target, eps } => {
                     // d/dp_ij of mean_i Σ_j q_j ln(q_j/(p_ij+eps)) = -q_j/(p_ij+eps)/n
@@ -479,17 +526,58 @@ impl Graph {
                             }
                         }
                     }
-                    accumulate(&mut grads, *probs, gp);
+                    grads.add(*probs, gp);
                 }
             }
         }
     }
 }
 
-fn accumulate(grads: &mut [Option<Matrix>], var: Var, grad: Matrix) {
-    match &mut grads[var.0] {
-        Some(existing) => existing.add_assign(&grad),
-        slot => *slot = Some(grad),
+/// Pending upstream gradients of one backward pass, restricted to the nodes
+/// that need one. A node only ever holds a gradient when it [wants](Self::wants)
+/// one, so taking a masked-off node's slot always finds it empty.
+struct Grads {
+    slots: Vec<Option<Matrix>>,
+    needs: Vec<bool>,
+}
+
+impl Grads {
+    /// Marks each node of `tape` (in push order, so inputs come first):
+    /// `Param` → needed, `Constant` → not, any other op → the OR of its
+    /// inputs.
+    fn new(tape: &[Node]) -> Self {
+        let mut needs = Vec::with_capacity(tape.len());
+        for node in tape {
+            let need = match &node.op {
+                Op::Param(_) => true,
+                op => op.inputs().iter().any(|v| needs[v.0]),
+            };
+            needs.push(need);
+        }
+        Self { slots: (0..tape.len()).map(|_| None).collect(), needs }
+    }
+
+    /// True when `var`'s gradient reaches some parameter.
+    fn wants(&self, var: Var) -> bool {
+        self.needs[var.0]
+    }
+
+    /// Accumulates `grad` into `var`'s slot, or drops it if `var` needs no
+    /// gradient. Callers check [`wants`](Self::wants) first wherever forming
+    /// `grad` costs work; a gradient passed through unchanged may rely on
+    /// the drop.
+    fn add(&mut self, var: Var, grad: Matrix) {
+        if !self.needs[var.0] {
+            return;
+        }
+        match &mut self.slots[var.0] {
+            Some(existing) => existing.add_assign(&grad),
+            slot => *slot = Some(grad),
+        }
+    }
+
+    fn take(&mut self, idx: usize) -> Option<Matrix> {
+        self.slots[idx].take()
     }
 }
 
@@ -641,6 +729,89 @@ mod shape_guard_tests {
         params.zero_grads();
         run(&mut params);
         assert_eq!(params.grad(w).item(), 4.0);
+    }
+
+    /// Deterministic, sign-mixed fill so `relu` masks are non-trivial.
+    fn wave(rows: usize, cols: usize, seed: f32) -> Matrix {
+        let data = (0..rows * cols).map(|i| (i as f32 * 0.731 + seed).sin()).collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `sum(relu(slice_cols(x) · W))` with `x` a constant, or with `x` a
+    /// parameter so nothing is pruned; returns `W`'s gradient.
+    fn sliced_relu_grad(x_is_param: bool) -> Matrix {
+        let mut params = ParamSet::new();
+        let w = params.insert("w", wave(64, 32, 0.3));
+        let x_val = wave(16, 80, 1.7);
+        let x_id = params.insert("x", x_val.clone());
+        let mut g = Graph::new();
+        let x = if x_is_param { g.param(&params, x_id) } else { g.constant(x_val) };
+        let s = g.slice_cols(x, 8, 64);
+        let wv = g.param(&params, w);
+        let z = g.matmul(s, wv);
+        let y = g.relu(z);
+        let loss = g.sum_all(y);
+        g.backward(loss, &mut params);
+        assert_eq!(params.grad(x_id).norm() > 0.0, x_is_param, "x gradient only when a param");
+        params.grad(w).clone()
+    }
+
+    #[test]
+    fn pruned_backward_keeps_the_weight_gradient_bits() {
+        let pruned = sliced_relu_grad(false);
+        // Hand reference: dW = Sᵀ · (1 ⊙ [S·W > 0]).
+        let x = wave(16, 80, 1.7);
+        let s = x.slice_cols(8, 64);
+        let z = s.matmul(&wave(64, 32, 0.3));
+        let mask = z.map(|v| if v > 0.0 { 1.0 } else { 0.0 }, CHEAP_MAP_FLOPS);
+        let reference = s.matmul_tn(&Matrix::full(16, 32, 1.0).mul(&mask));
+        assert_eq!(bits(&pruned), bits(&reference), "pruned dW vs hand reference");
+        assert_eq!(bits(&pruned), bits(&sliced_relu_grad(true)), "pruned dW vs unpruned tape");
+    }
+
+    /// A needed node `h = tanh(slice(x)·W)` shared by consumers on the loss
+    /// path whose other operands need no gradient (`h + slice(x)`, a concat
+    /// with a slice of `x`, `h` scaled by a column of `x`) and by a
+    /// dangling `relu(h)` that never reaches the loss. Returns `W`'s and
+    /// `W2`'s gradients.
+    fn shared_node_grads(x_is_param: bool) -> (Matrix, Matrix) {
+        let mut params = ParamSet::new();
+        let w = params.insert("w", wave(24, 24, 0.9));
+        let w2 = params.insert("w2", wave(48, 8, 2.1));
+        let x_val = wave(12, 64, 0.2);
+        let x_id = params.insert("x", x_val.clone());
+        let mut g = Graph::new();
+        let x = if x_is_param { g.param(&params, x_id) } else { g.constant(x_val) };
+        let s = g.slice_cols(x, 0, 24);
+        let wv = g.param(&params, w);
+        let z = g.matmul(s, wv);
+        let h = g.tanh(z);
+        let _dangling = g.relu(h);
+        let other = g.slice_cols(x, 24, 24);
+        let sum = g.add(h, other);
+        let col = g.slice_cols(x, 63, 1);
+        let scaled = g.mul_col_broadcast(h, col);
+        let both = g.concat_cols(&[sum, other]);
+        let w2v = g.param(&params, w2);
+        let out = g.matmul(both, w2v);
+        let tail = g.mean_all(scaled);
+        let head = g.mean_all(out);
+        let loss = g.add(head, tail);
+        g.backward(loss, &mut params);
+        (params.grad(w).clone(), params.grad(w2).clone())
+    }
+
+    #[test]
+    fn shared_node_gradient_is_unchanged_by_pruning() {
+        let (w_pruned, w2_pruned) = shared_node_grads(false);
+        let (w_full, w2_full) = shared_node_grads(true);
+        assert!(w_pruned.norm() > 0.0 && w2_pruned.norm() > 0.0);
+        assert_eq!(bits(&w_pruned), bits(&w_full), "W gradient through the shared node");
+        assert_eq!(bits(&w2_pruned), bits(&w2_full), "W2 gradient past the pruned concat part");
     }
 
     #[test]

@@ -59,6 +59,6 @@ pub mod plan;
 pub mod sanitize;
 
 pub use graph::{Graph, Var};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, CHEAP_MAP_FLOPS, SIGMOID_FLOPS, TANH_FLOPS};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamSet};

@@ -25,6 +25,22 @@
 use crate::{gemm, parallel};
 use std::fmt;
 
+/// Per-element cost of an arithmetic map (`relu`, a derivative mask, a
+/// polynomial), in the GEMM-FLOP units [`Matrix::map`] charges against
+/// [`parallel::SERIAL_FLOP_THRESHOLD`].
+pub const CHEAP_MAP_FLOPS: usize = 8;
+
+/// Per-element cost of `f32::tanh` in GEMM-FLOP units. Measured on one core
+/// of a 2-core x86-64 host: ~20 ns per element against ~13 GFLOP/s for the
+/// blocked GEMM, so one `tanh` costs about 256 multiply-adds. A 16-row
+/// training batch (`16 x 256`, ~1 M) stays serial; a 300-row attention
+/// replay (~20 M) splits across workers.
+pub const TANH_FLOPS: usize = 256;
+
+/// Per-element cost of the logistic sigmoid (`1 / (1 + e^-v)`), measured
+/// like [`TANH_FLOPS`]: ~6 ns per element.
+pub const SIGMOID_FLOPS: usize = 64;
+
 /// A dense, row-major matrix of `f32` values.
 ///
 /// Shapes are `rows x cols`; element `(i, j)` lives at `data[i * cols + j]`.
@@ -522,20 +538,28 @@ impl Matrix {
         });
     }
 
-    /// Elementwise map. `f` must be `Sync`: rows of large matrices are
-    /// mapped on scoped worker threads (`relu`/`tanh` over big batches).
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
+    /// Elementwise map costing `flops_per_element` (in the GEMM-FLOP units
+    /// of [`parallel::SERIAL_FLOP_THRESHOLD`]: [`CHEAP_MAP_FLOPS`],
+    /// [`TANH_FLOPS`], [`SIGMOID_FLOPS`]). `f` must be `Sync`: rows of
+    /// matrices whose total cost clears the dispatch policy are mapped on
+    /// scoped worker threads, each row by the same loop, so the output is
+    /// the same at any thread count.
+    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync, flops_per_element: usize) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.map_into(f, &mut out);
+        self.map_into(f, flops_per_element, &mut out);
         out
     }
 
     /// [`map`](Self::map) into a caller-owned buffer (reshaped to fit).
-    pub fn map_into(&self, f: impl Fn(f32) -> f32 + Sync, out: &mut Matrix) {
+    pub fn map_into(
+        &self,
+        f: impl Fn(f32) -> f32 + Sync,
+        flops_per_element: usize,
+        out: &mut Matrix,
+    ) {
         out.reset_shape(self.rows, self.cols);
         let cols = self.cols;
-        // Assume a transcendental-ish op per element.
-        parallel::parallel_for_rows(&mut out.data, cols, 8 * cols, |i, row| {
+        parallel::parallel_for_rows(&mut out.data, cols, flops_per_element * cols, |i, row| {
             let src = &self.data[i * cols..(i + 1) * cols];
             for (o, &v) in row.iter_mut().zip(src) {
                 *o = f(v);
@@ -810,7 +834,7 @@ mod more_tests {
     #[test]
     fn map_and_scale_agree() {
         let m = Matrix::from_rows(&[vec![1.0, -2.0]]);
-        assert_eq!(m.scale(2.0), m.map(|v| v * 2.0));
+        assert_eq!(m.scale(2.0), m.map(|v| v * 2.0, CHEAP_MAP_FLOPS));
     }
 
     #[test]

@@ -33,9 +33,11 @@ use std::sync::OnceLock;
 ///
 /// Scoped workers are real OS threads spawned per dispatch (~tens of µs
 /// each); at a conservative 1 GFLOP/s a section needs roughly this much work
-/// (~4 ms serial) before splitting it wins. Training-sized batches (16 rows)
-/// deliberately stay under the floor so the training loop's many small
-/// matmuls keep their serial fast path.
+/// (~4 ms serial) before splitting it wins. The floor applies to the
+/// estimate, not the row count: a 16-row training batch keeps its many
+/// small products (the per-feature `16x64` projections, a `16x256` `tanh`)
+/// on the serial fast path, while its wide classifier GEMMs (~38 MFLOP,
+/// split over their wide side by `gemm`) go parallel.
 pub const SERIAL_FLOP_THRESHOLD: usize = 1 << 22;
 
 thread_local! {

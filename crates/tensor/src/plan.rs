@@ -38,7 +38,7 @@
 
 use crate::gemm;
 use crate::graph::{Graph, Op, Var};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, CHEAP_MAP_FLOPS, SIGMOID_FLOPS, TANH_FLOPS};
 use crate::params::{ParamId, ParamSet};
 use crate::sanitize;
 use std::fmt;
@@ -209,29 +209,6 @@ impl BufferPool {
     }
 }
 
-/// Tape positions an op reads, for the reachability walk.
-fn op_inputs(op: &Op) -> Vec<usize> {
-    match op {
-        Op::Constant | Op::Param(_) => Vec::new(),
-        Op::MatMul(a, b)
-        | Op::Add(a, b)
-        | Op::AddRowBroadcast(a, b)
-        | Op::Mul(a, b)
-        | Op::MulColBroadcast(a, b) => vec![a.index(), b.index()],
-        Op::Scale(a, _)
-        | Op::Relu(a)
-        | Op::Tanh(a)
-        | Op::Sigmoid(a)
-        | Op::SoftmaxRows(a)
-        | Op::MeanAll(a)
-        | Op::SumAll(a) => vec![a.index()],
-        Op::ConcatCols(parts) => parts.iter().map(|v| v.index()).collect(),
-        Op::SliceCols { input, .. } => vec![input.index()],
-        Op::WeightedBceWithLogits { logits, .. } => vec![logits.index()],
-        Op::KlConstRows { probs, .. } => vec![probs.index()],
-    }
-}
-
 fn resolved(src: &[Option<Src>], v: Var) -> Src {
     src[v.index()].expect("plan compile: operand recorded after its use")
 }
@@ -258,7 +235,7 @@ impl CompiledPlan {
             if i == input.index() {
                 continue;
             }
-            stack.extend(op_inputs(&tape[i].op));
+            stack.extend(tape[i].op.inputs().into_iter().map(Var::index));
         }
 
         let mut src: Vec<Option<Src>> = vec![None; tape.len()];
@@ -392,9 +369,11 @@ impl CompiledPlan {
                 StepOp::Mul(a, b) => val(*a).mul_into(val(*b), out),
                 StepOp::MulColBroadcast(a, b) => val(*a).mul_col_broadcast_into(val(*b), out),
                 StepOp::Scale(a, s) => val(*a).scale_into(*s, out),
-                StepOp::Relu(a) => val(*a).map_into(|v| v.max(0.0), out),
-                StepOp::Tanh(a) => val(*a).map_into(f32::tanh, out),
-                StepOp::Sigmoid(a) => val(*a).map_into(|v| 1.0 / (1.0 + (-v).exp()), out),
+                StepOp::Relu(a) => val(*a).map_into(|v| v.max(0.0), CHEAP_MAP_FLOPS, out),
+                StepOp::Tanh(a) => val(*a).map_into(f32::tanh, TANH_FLOPS, out),
+                StepOp::Sigmoid(a) => {
+                    val(*a).map_into(|v| 1.0 / (1.0 + (-v).exp()), SIGMOID_FLOPS, out)
+                }
                 StepOp::SoftmaxRows(a) => val(*a).softmax_rows_into(out),
                 StepOp::ConcatCols(parts) => {
                     let refs: Vec<&Matrix> = parts.iter().map(|s| val(*s)).collect();

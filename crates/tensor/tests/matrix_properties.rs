@@ -1,6 +1,6 @@
 //! Property-based tests of the matrix kernels.
 
-use adamel_tensor::Matrix;
+use adamel_tensor::{Matrix, CHEAP_MAP_FLOPS};
 use proptest::prelude::*;
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -60,7 +60,7 @@ proptest! {
 
     #[test]
     fn softmax_is_shift_invariant(a in arb_matrix(2, 5), shift in -10.0f32..10.0) {
-        let shifted = a.map(|v| v + shift);
+        let shifted = a.map(|v| v + shift, CHEAP_MAP_FLOPS);
         prop_assert!(approx_eq(&a.softmax_rows(), &shifted.softmax_rows(), 1e-5));
     }
 

@@ -61,3 +61,38 @@ fn spans_level_skips_per_op_spans_but_keeps_coarse_ones() {
     adamel_obs::set_forced(None);
     adamel_obs::report::reset();
 }
+
+#[test]
+fn backward_packs_only_for_the_parameter_gradient() {
+    // relu(slice_cols(x) · W) with x a constant: the forward packs W once,
+    // and backward packs once for dW = Sᵀ·G. The input-side G·Wᵀ product
+    // (and the slice's scatter) feed only the constant, so they are skipped.
+    let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    adamel_obs::set_forced(Some(adamel_obs::TraceLevel::Spans));
+    adamel_obs::report::reset();
+
+    let wave = |rows: usize, cols: usize, seed: f32| {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| (i as f32 * 0.731 + seed).sin()).collect(),
+        )
+    };
+    let mut params = ParamSet::new();
+    let w = params.insert("w", wave(64, 32, 0.3));
+    let mut g = Graph::new();
+    let x = g.constant(wave(16, 80, 1.7));
+    let s = g.slice_cols(x, 8, 64);
+    let wv = g.param(&params, w);
+    let z = g.matmul(s, wv);
+    let y = g.relu(z);
+    let loss = g.sum_all(y);
+    let packs = || adamel_obs::counter_value("gemm.pack_b").unwrap_or(0);
+    assert_eq!(packs(), 1, "forward packs W once");
+    g.backward(loss, &mut params);
+    assert_eq!(packs(), 2, "backward packs once, for dW only");
+    assert!(params.grad(w).norm() > 0.0);
+
+    adamel_obs::set_forced(None);
+    adamel_obs::report::reset();
+}

@@ -3,7 +3,7 @@
 //! shape (including empty and ragged-last-chunk cases) and any thread count
 //! (including more threads than rows).
 
-use adamel_tensor::{parallel, Matrix};
+use adamel_tensor::{parallel, Matrix, CHEAP_MAP_FLOPS, TANH_FLOPS};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random matrix fill in `[-2, 2]`; the proptest seed
@@ -81,8 +81,8 @@ proptest! {
         let col = fill_matrix(rows, 1, seed.wrapping_add(4));
         let row = fill_matrix(1, cols, seed.wrapping_add(5));
 
-        let s_map = parallel::with_threads(1, || a.map(|x| x.tanh()));
-        let p_map = parallel::with_threads(threads, || a.map(|x| x.tanh()));
+        let s_map = parallel::with_threads(1, || a.map(|x| x.tanh(), TANH_FLOPS));
+        let p_map = parallel::with_threads(threads, || a.map(|x| x.tanh(), TANH_FLOPS));
         prop_assert_eq!(s_map.as_slice(), p_map.as_slice());
 
         let s_soft = parallel::with_threads(1, || a.softmax_rows());
@@ -132,14 +132,17 @@ fn nested_dispatch_falls_back_to_serial() {
     let inner_b = fill_matrix(2, 2, 23);
     let expected_inner = parallel::with_threads(1, || inner_a.matmul(&inner_b));
     let out = parallel::with_threads(4, || {
-        a.map(|x| {
-            let m = inner_a.matmul(&inner_b);
-            if m.as_slice() == expected_inner.as_slice() {
-                x
-            } else {
-                f32::NAN
-            }
-        })
+        a.map(
+            |x| {
+                let m = inner_a.matmul(&inner_b);
+                if m.as_slice() == expected_inner.as_slice() {
+                    x
+                } else {
+                    f32::NAN
+                }
+            },
+            CHEAP_MAP_FLOPS,
+        )
     });
     assert_eq!(out.as_slice(), a.as_slice());
 }
